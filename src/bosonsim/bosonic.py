@@ -17,7 +17,8 @@ all.  Equality of that fast route with the first moment of the
 permanent-based distribution is the central cross-check in the test suite.
 
 Functions here assume the matrix is unitary (see
-``transforms.validate_unitary``); only shape compatibility is checked.
+``transforms.validate_unitary``); only shape compatibility and finite
+entries are checked.
 Amplitudes are reported in the gauge where the vacuum is left invariant,
 so an overall phase e^{i*phi} on U shows up as e^{i*n*phi} on amplitudes
 and cancels from every probability.
@@ -26,7 +27,6 @@ and cancels from every probability.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,7 @@ from .fock import (
     validate_occupation,
 )
 from .formatting import format_float
-from .permanents import expand_submatrix, permanent_ryser
+from .permanents import as_square_matrix, expand_submatrix, permanent_ryser
 
 
 @dataclass(frozen=True)
@@ -78,18 +78,14 @@ class OutputDistribution:
 
 
 def _check_mode_count(unitary, state: tuple[int, ...]) -> np.ndarray:
-    u = np.asarray(unitary, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = as_square_matrix(unitary)
     if len(state) != u.shape[0]:
         raise ValueError(f"state has {len(state)} modes but the network has {u.shape[0]}")
     return u
 
 
-def transition_amplitude(unitary, input_state, output_state) -> TransitionAmplitude:
-    """Single transition amplitude <out|U|in> between Fock states."""
-    inp = validate_occupation(input_state)
-    out = validate_occupation(output_state)
+def _check_transition(unitary, inp: tuple[int, ...], out: tuple[int, ...]) -> np.ndarray:
+    """Validated matrix for a transition between two states of one network."""
     u = _check_mode_count(unitary, inp)
     if len(out) != len(inp):
         raise ValueError(f"input has {len(inp)} modes but output has {len(out)}")
@@ -97,61 +93,39 @@ def transition_amplitude(unitary, input_state, output_state) -> TransitionAmplit
         raise ValueError(
             f"particle number mismatch: input carries {sum(inp)}, output {sum(out)}"
         )
+    return u
+
+
+def transition_amplitude(unitary, input_state, output_state) -> TransitionAmplitude:
+    """Single transition amplitude <out|U|in> between Fock states."""
+    inp = validate_occupation(input_state)
+    out = validate_occupation(output_state)
+    u = _check_transition(unitary, inp, out)
     per = permanent_ryser(expand_submatrix(u, out, inp))
     norm = math.sqrt(normalization_gamma(out) * normalization_gamma(inp))
     return TransitionAmplitude(value=per / norm, input_state=inp, output_state=out)
 
 
-def _fill_amplitudes(
-    u_cols: np.ndarray,
-    basis: FockBasis,
-    sqrt_gamma_in: float,
-    amplitudes: np.ndarray,
-    lo: int,
-    hi: int,
-) -> None:
-    d = basis.d
-    modes = np.arange(d)
-    for i in range(lo, hi):
-        out = basis.states[i]
-        rows = np.repeat(modes, out)
-        per = permanent_ryser(u_cols[rows, :])
+def _amplitudes(u: np.ndarray, basis: FockBasis, inp: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes from ``inp`` to each state of ``basis``: one permanent per outcome."""
+    modes = np.arange(basis.d)
+    u_cols = u[:, np.repeat(modes, inp)]
+    sqrt_gamma_in = math.sqrt(normalization_gamma(inp))
+    amplitudes = np.empty(len(basis), dtype=np.complex128)
+    for i, out in enumerate(basis.states):
+        per = permanent_ryser(u_cols[np.repeat(modes, out), :])
         amplitudes[i] = per / (sqrt_gamma_in * math.sqrt(normalization_gamma(out)))
+    return amplitudes
 
 
 def output_distribution(
-    unitary,
-    input_state,
-    cap: int = DEFAULT_BASIS_CAP,
-    workers: int = 1,
+    unitary, input_state, cap: int = DEFAULT_BASIS_CAP
 ) -> OutputDistribution:
-    """Probabilities |amplitude|^2 for every n-particle output state.
-
-    One permanent per outcome; outcomes are independent, so with
-    ``workers > 1`` they are computed in parallel into preallocated
-    canonical-order slots (the result does not depend on the schedule).
-    """
+    """Probabilities |amplitude|^2 for every n-particle output state."""
     inp = validate_occupation(input_state)
     u = _check_mode_count(unitary, inp)
-    d = u.shape[0]
-    basis = enumerate_basis(d, sum(inp), cap)
-    u_cols = u[:, np.repeat(np.arange(d), inp)]
-    sqrt_gamma_in = math.sqrt(normalization_gamma(inp))
-    amplitudes = np.zeros(len(basis), dtype=np.complex128)
-    if workers > 1 and len(basis) > 1:
-        chunk = (len(basis) + workers - 1) // workers
-        spans = [(lo, min(lo + chunk, len(basis))) for lo in range(0, len(basis), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(
-                pool.map(
-                    lambda span: _fill_amplitudes(
-                        u_cols, basis, sqrt_gamma_in, amplitudes, *span
-                    ),
-                    spans,
-                )
-            )
-    else:
-        _fill_amplitudes(u_cols, basis, sqrt_gamma_in, amplitudes, 0, len(basis))
+    basis = enumerate_basis(u.shape[0], sum(inp), cap)
+    amplitudes = _amplitudes(u, basis, inp)
     return OutputDistribution(
         input_state=inp,
         states=basis.states,
@@ -160,47 +134,20 @@ def output_distribution(
     )
 
 
-def symmetric_power_matrix(
-    unitary,
-    n: int,
-    cap: int = DEFAULT_BASIS_CAP,
-    workers: int = 1,
-) -> np.ndarray:
+def symmetric_power_matrix(unitary, n: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:
     """The C(d+n-1,n)-dimensional matrix of n-particle amplitudes.
 
     Entry (i, j) is the amplitude from basis state j to basis state i in
     canonical order; for n = 1 this is U itself.  Built from a unitary it
     is again unitary, and it composes: the matrix of U @ V equals the
-    matrix of U times the matrix of V.
+    matrix of U times the matrix of V.  Column j is exactly the amplitude
+    vector of ``output_distribution(unitary, basis[j])``.
     """
     if n < 0:
         raise ValueError("particle number must be nonnegative")
-    u = np.asarray(unitary, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    d = u.shape[0]
-    basis = enumerate_basis(d, n, cap)
-    dim = len(basis)
-    modes = np.arange(d)
-    row_indices = [np.repeat(modes, s) for s in basis.states]
-    sqrt_gammas = [math.sqrt(normalization_gamma(s)) for s in basis.states]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-
-    def fill_columns(lo: int, hi: int) -> None:
-        for j in range(lo, hi):
-            u_cols = u[:, row_indices[j]]
-            for i in range(dim):
-                per = permanent_ryser(u_cols[row_indices[i], :])
-                out[i, j] = per / (sqrt_gammas[i] * sqrt_gammas[j])
-
-    if workers > 1 and dim > 1:
-        chunk = (dim + workers - 1) // workers
-        spans = [(lo, min(lo + chunk, dim)) for lo in range(0, dim, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill_columns(*span), spans))
-    else:
-        fill_columns(0, dim)
-    return out
+    u = as_square_matrix(unitary)
+    basis = enumerate_basis(u.shape[0], n, cap)
+    return np.column_stack([_amplitudes(u, basis, s) for s in basis.states])
 
 
 def mean_photon_numbers(unitary, input_state) -> np.ndarray:

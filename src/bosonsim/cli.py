@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -25,15 +24,12 @@ from .errors import ValidationError
 from .formatting import format_complex, format_float, render_json
 from .permanents import RYSER_SIZE_LIMIT, permanent_naive, permanent_ryser
 
-THREADS_ENV_VAR = "BOSONSIM_THREADS"
-
 
 @dataclass(frozen=True)
 class RunConfig:
     unitarity_tol: float = transforms.DEFAULT_UNITARITY_TOL
     basis_cap: int = fock.DEFAULT_BASIS_CAP
     permanent_guard: int = RYSER_SIZE_LIMIT
-    threads: int = 1
     output_format: str = "json"
 
     def __post_init__(self):
@@ -41,18 +37,8 @@ class RunConfig:
             raise ValueError("unitarity tolerance must be positive")
         if self.basis_cap < 1 or self.permanent_guard < 1:
             raise ValueError("caps must be at least 1")
-        if self.threads < 1:
-            raise ValueError("thread count must be at least 1")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _config(args) -> RunConfig:
@@ -60,7 +46,6 @@ def _config(args) -> RunConfig:
         unitarity_tol=getattr(args, "tol", transforms.DEFAULT_UNITARITY_TOL),
         basis_cap=getattr(args, "cap", fock.DEFAULT_BASIS_CAP),
         permanent_guard=getattr(args, "perm_guard", RYSER_SIZE_LIMIT),
-        threads=getattr(args, "threads", 1),
         output_format=getattr(args, "format", "json"),
     )
 
@@ -124,11 +109,9 @@ def cmd_amplitude(args) -> int:
 
 def _compute_distribution(u, inp, fermion: bool, config: RunConfig):
     if fermion:
-        return fermionic.fermion_distribution(
-            u, inp, cap=config.basis_cap, workers=config.threads
-        )
+        return fermionic.fermion_distribution(u, inp, cap=config.basis_cap)
     _check_particle_guard(sum(inp), config)
-    return bosonic.output_distribution(u, inp, cap=config.basis_cap, workers=config.threads)
+    return bosonic.output_distribution(u, inp, cap=config.basis_cap)
 
 
 def cmd_distribution(args) -> int:
@@ -212,7 +195,7 @@ def cmd_random_unitary(args) -> int:
     return 0
 
 
-def _add_common(sub, *, tol=False, cap=False, threads=False, guard=False):
+def _add_common(sub, *, tol=False, cap=False, guard=False):
     if tol:
         sub.add_argument(
             "--tol",
@@ -223,13 +206,6 @@ def _add_common(sub, *, tol=False, cap=False, threads=False, guard=False):
     if cap:
         sub.add_argument(
             "--cap", type=int, default=fock.DEFAULT_BASIS_CAP, help="basis size cap"
-        )
-    if threads:
-        sub.add_argument(
-            "--threads",
-            type=int,
-            default=_default_threads(),
-            help=f"worker thread hint (default from ${THREADS_ENV_VAR})",
         )
     if guard:
         sub.add_argument(
@@ -272,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input_state", required=True, metavar="R,R,...")
     p.add_argument("--fermion", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, tol=True, cap=True, threads=True, guard=True)
+    _add_common(p, tol=True, cap=True, guard=True)
     p.set_defaults(func=cmd_distribution)
 
     p = subparsers.add_parser("expect", help="poly-time per-mode expectations")
@@ -287,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input_state", required=True, metavar="R,R,...")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_common(p, tol=True, cap=True, threads=True, guard=True)
+    _add_common(p, tol=True, cap=True, guard=True)
     p.set_defaults(func=cmd_sample)
 
     p = subparsers.add_parser("check", help="unitarity and symplectic/orthogonal report")

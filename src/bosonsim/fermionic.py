@@ -14,13 +14,17 @@ two rows of the submatrix flips the amplitude sign but never a probability.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .bosonic import OutputDistribution, _check_mode_count
+from .bosonic import (
+    OutputDistribution,
+    _check_mode_count,
+    _check_transition,
+    mean_photon_numbers,
+)
 from .fock import DEFAULT_BASIS_CAP
 from .permanents import determinant
 
@@ -73,42 +77,22 @@ def fermion_amplitude(unitary, input_state, output_state) -> complex:
     """Amplitude <out|U|in>: determinant of the occupied-mode submatrix."""
     inp = validate_fermion_state(input_state)
     out = validate_fermion_state(output_state)
-    u = _check_mode_count(unitary, inp)
-    if len(out) != len(inp):
-        raise ValueError(f"input has {len(inp)} modes but output has {len(out)}")
-    if sum(inp) != sum(out):
-        raise ValueError(
-            f"particle number mismatch: input carries {sum(inp)}, output {sum(out)}"
-        )
+    u = _check_transition(unitary, inp, out)
     sub = u[np.ix_(occupied_modes(out), occupied_modes(inp))]
     return determinant(sub)
 
 
 def fermion_distribution(
-    unitary,
-    input_state,
-    cap: int = DEFAULT_BASIS_CAP,
-    workers: int = 1,
+    unitary, input_state, cap: int = DEFAULT_BASIS_CAP
 ) -> OutputDistribution:
     """Probabilities |det|^2 over all C(d, n) fermionic outcomes."""
     inp = validate_fermion_state(input_state)
     u = _check_mode_count(unitary, inp)
-    d = u.shape[0]
-    states = enumerate_fermion_basis(d, sum(inp), cap)
+    states = enumerate_fermion_basis(u.shape[0], sum(inp), cap)
     u_cols = u[:, occupied_modes(inp)]
-    amplitudes = np.zeros(len(states), dtype=np.complex128)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            amplitudes[i] = determinant(u_cols[occupied_modes(states[i]), :])
-
-    if workers > 1 and len(states) > 1:
-        chunk = (len(states) + workers - 1) // workers
-        spans = [(lo, min(lo + chunk, len(states))) for lo in range(0, len(states), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-    else:
-        fill(0, len(states))
+    amplitudes = np.empty(len(states), dtype=np.complex128)
+    for i, out in enumerate(states):
+        amplitudes[i] = determinant(u_cols[occupied_modes(out), :])
     return OutputDistribution(
         input_state=inp,
         states=states,
@@ -118,21 +102,16 @@ def fermion_distribution(
 
 
 def fermion_mode_probability(unitary, input_state, mode: int) -> float:
-    """Probability of finding a fermion in ``mode`` (0-based) after U.
-
-    p = sum_j |U[mode, j]|^2 x_j -- the poly-time single-mode marginal,
-    the same algebraic form as the bosonic mean photon number restricted
-    to 0/1 occupations.
-    """
-    inp = validate_fermion_state(input_state)
-    u = _check_mode_count(unitary, inp)
-    if not 0 <= mode < u.shape[0]:
-        raise ValueError(f"mode index {mode} out of range 0..{u.shape[0] - 1}")
-    return float((np.abs(u[mode, :]) ** 2) @ np.asarray(inp, dtype=float))
+    """Probability of finding a fermion in ``mode`` (0-based) after U."""
+    probs = fermion_mode_probabilities(unitary, input_state)
+    if not 0 <= mode < len(probs):
+        raise ValueError(f"mode index {mode} out of range 0..{len(probs) - 1}")
+    return float(probs[mode])
 
 
 def fermion_mode_probabilities(unitary, input_state) -> np.ndarray:
-    """All d single-mode marginals at once; sums to the particle number."""
-    inp = validate_fermion_state(input_state)
-    u = _check_mode_count(unitary, inp)
-    return (np.abs(u) ** 2) @ np.asarray(inp, dtype=float)
+    """All d single-mode marginals p_k = sum_j |U[k, j]|^2 x_j; they sum to n.
+
+    The bosonic mean photon number restricted to 0/1 occupations.
+    """
+    return mean_photon_numbers(unitary, validate_fermion_state(input_state))

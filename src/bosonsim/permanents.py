@@ -36,9 +36,9 @@ NAIVE_SIZE_LIMIT = 10
 RYSER_SIZE_LIMIT = 30
 
 
-def as_square_matrix(matrix) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
-    a = np.asarray(matrix, dtype=np.complex128)
+def as_square_matrix(matrix, dtype=np.complex128) -> np.ndarray:
+    """Coerce to a square ``dtype`` array with finite entries (the one matrix validator)."""
+    a = np.asarray(matrix, dtype=dtype)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {a.ndim}-D input")
     if a.shape[0] != a.shape[1]:

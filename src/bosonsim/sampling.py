@@ -64,7 +64,9 @@ def chi_square_gof(run: SampleRun, dist: OutputDistribution) -> ChiSquareResult:
 
     Bins with expected count below MIN_EXPECTED are pooled into one; if the
     pooled bin is itself still too small it is merged into the smallest
-    retained bin.  Degrees of freedom = bins - 1.
+    retained bin.  Degrees of freedom = bins - 1.  A single bin left after
+    pooling gives the degenerate result: statistic 0, p-value 1, no degrees
+    of freedom.
     """
     if len(run.counts) != len(dist):
         raise ValueError(
@@ -88,8 +90,8 @@ def chi_square_gof(run: SampleRun, dist: OutputDistribution) -> ChiSquareResult:
             obs_bins[i] += small_obs
 
     bins = len(exp_bins)
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins after pooling, got {bins}")
+    if bins == 1:  # a point mass (or an empty run): nothing to test against
+        return ChiSquareResult(statistic=0.0, p_value=1.0, degrees_of_freedom=0, bins=1)
     exp_arr = np.asarray(exp_bins)
     obs_arr = np.asarray(obs_bins)
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .permanents import as_square_matrix
 
 #: default max-norm tolerance on ||U^dag U - I||
 DEFAULT_UNITARITY_TOL = 1e-10
@@ -25,9 +26,7 @@ DEFAULT_UNITARITY_TOL = 1e-10
 
 def unitarity_deviation(matrix) -> float:
     """Max-norm of U^dag U - I."""
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = as_square_matrix(matrix)
     d = a.shape[0]
     return float(np.abs(a.conj().T @ a - np.eye(d)).max())
 
@@ -37,11 +36,7 @@ def validate_unitary(matrix, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
 
     Raises ValidationError if ||U^dag U - I||_max exceeds ``tol``.
     """
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+    a = as_square_matrix(matrix)
     dev = unitarity_deviation(a)
     if dev > tol:
         raise ValidationError(f"matrix is not unitary: deviation {dev:.3e} > tol {tol:.3e}")
@@ -71,9 +66,7 @@ def realify(unitary) -> np.ndarray:
     Block form [[Re U, -Im U], [Im U, Re U]]; the first d real coordinates
     are the real parts, the last d the imaginary parts.
     """
-    u = np.asarray(unitary, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    u = as_square_matrix(unitary)
     re, im = u.real, u.imag
     return np.block([[re, -im], [im, re]])
 
@@ -88,9 +81,7 @@ def symplectic_form(d: int) -> np.ndarray:
 
 def check_symplectic(matrix, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether A^T J A = J within ``tol``; returns (ok, max-norm deviation)."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = as_square_matrix(matrix, dtype=float)
     if a.shape[0] % 2:
         raise ValueError("symplectic matrices have even dimension")
     j = symplectic_form(a.shape[0] // 2)
@@ -100,18 +91,14 @@ def check_symplectic(matrix, tol: float = 1e-9) -> tuple[bool, float]:
 
 def check_orthogonal(matrix, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether A^T A = I within ``tol``; returns (ok, max-norm deviation)."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = as_square_matrix(matrix, dtype=float)
     dev = float(np.abs(a.T @ a - np.eye(a.shape[0])).max())
     return dev <= tol, dev
 
 
 def matrix_to_jsonable(matrix) -> dict:
     """Matrix file payload: {"d": d, "matrix": [[[re, im], ...], ...]}."""
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = as_square_matrix(matrix)
     return {
         "d": int(a.shape[0]),
         "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in a],
@@ -124,7 +111,8 @@ def matrix_from_jsonable(payload) -> np.ndarray:
         raise ValueError('matrix JSON must be an object with "d" and "matrix" keys')
     d = payload["d"]
     rows = payload["matrix"]
-    if not isinstance(d, int) or d < 1:
+    # bool subclasses int, so JSON true/false must be refused explicitly
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError('"d" must be a positive integer')
     if not isinstance(rows, list) or len(rows) != d:
         raise ValueError(f'"matrix" must be a list of {d} rows')
@@ -137,9 +125,11 @@ def matrix_from_jsonable(payload) -> np.ndarray:
                 not isinstance(entry, list)
                 or len(entry) != 2
                 or not all(isinstance(x, (int, float)) for x in entry)
+                or any(isinstance(x, bool) for x in entry)
             ):
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
-    if not np.isfinite(out).all():
-        raise ValueError("matrix entries must be finite")
-    return out
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise ValueError(f"entry ({i},{j}) is out of floating-point range") from None
+    return as_square_matrix(out)

@@ -185,6 +185,25 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"d": true, "matrix": [[[1, 0]]]}',
+        '{"d": 1, "matrix": [[[1%s, 0]]]}' % ("0" * 400),
+        '{"d": 1, "matrix": [[[true, false]]]}',
+    ],
+    ids=["boolean-d", "overflow", "boolean-entry"],
+)
+def test_malformed_matrix_payload_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "\n" not in err.strip()
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "check", "/nonexistent/matrix.json")
     assert code == 2
@@ -225,16 +244,20 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(basis_cap=0)
     with pytest.raises(ValueError):
-        RunConfig(threads=0)
-    with pytest.raises(ValueError):
         RunConfig(output_format="xml")
 
 
-def test_threads_flag_gives_identical_output(tmp_path, capsys):
-    _, ujson, _ = run_cli(capsys, "random-unitary", "--d", "5", "--seed", "3")
-    path = tmp_path / "u5.json"
-    path.write_text(ujson)
-    base = ("distribution", str(path), "--in", "1,1,1,0,0")
-    _, serial, _ = run_cli(capsys, *base, "--threads", "1")
-    _, threaded, _ = run_cli(capsys, *base, "--threads", "4")
-    assert serial == threaded
+@pytest.mark.parametrize(
+    "extra", [("--in", "1,0", "--count", "100"), ("--in", "1,1", "--count", "0")]
+)
+def test_sample_point_mass_exits_0(tmp_path, capsys, extra):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(matrix_to_jsonable(np.eye(2))))
+    code, out, err = run_cli(capsys, "sample", str(path), *extra, "--seed", "1")
+    assert code == 0, err
+    assert json.loads(out)["chi_square"] == {
+        "statistic": 0.0,
+        "p_value": 1.0,
+        "degrees_of_freedom": 0,
+        "bins": 1,
+    }

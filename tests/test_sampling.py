@@ -108,11 +108,13 @@ def test_gof_pools_small_bins():
     assert result.degrees_of_freedom == 2
 
 
-def test_gof_single_bin_errors():
+def test_gof_single_bin_is_degenerate():
+    # a point mass (or an empty run) pools into one bin: nothing to reject
     dist = make_distribution([1.0, 0.0])
-    run = sample(dist, count=100, seed=3)
-    with pytest.raises(ValueError):
-        chi_square_gof(run, dist)
+    for count in (0, 100):
+        result = chi_square_gof(sample(dist, count=count, seed=3), dist)
+        assert (result.statistic, result.p_value) == (0.0, 1.0)
+        assert (result.degrees_of_freedom, result.bins) == (0, 1)
 
 
 def test_gof_bin_count_mismatch():

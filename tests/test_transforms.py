@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bosonsim.bosonic import output_distribution, symmetric_power_matrix, transition_amplitude
 from bosonsim.errors import ValidationError
+from bosonsim.fermionic import fermion_amplitude, fermion_distribution
 from bosonsim.transforms import (
     check_orthogonal,
     check_symplectic,
@@ -167,8 +169,37 @@ def test_matrix_json_roundtrip():
         {"d": 1, "matrix": [["x"]]},  # entry not numeric
         {"d": 0, "matrix": []},  # d must be positive
         [1, 2, 3],  # not an object
+        {"d": True, "matrix": [[[1, 0]]]},  # boolean d
+        {"d": 1, "matrix": [[[10**400, 0]]]},  # entry overflows a float
+        {"d": 2, "matrix": [[[True, False], [0, 0]], [[0, 0], [1, 0]]]},  # boolean entry
     ],
 )
 def test_matrix_json_rejects_malformed(payload):
     with pytest.raises(ValueError):
         matrix_from_jsonable(payload)
+
+
+SQUARE_MATRIX_ENTRY_POINTS = {
+    "unitarity_deviation": unitarity_deviation,
+    "validate_unitary": validate_unitary,
+    "realify": realify,
+    "check_symplectic": check_symplectic,
+    "check_orthogonal": check_orthogonal,
+    "matrix_to_jsonable": matrix_to_jsonable,
+    "symmetric_power_matrix": lambda m: symmetric_power_matrix(m, 1),
+    "output_distribution": lambda m: output_distribution(m, (1, 0)),
+    "transition_amplitude": lambda m: transition_amplitude(m, (1, 0), (0, 1)),
+    "fermion_distribution": lambda m: fermion_distribution(m, (1, 0)),
+    "fermion_amplitude": lambda m: fermion_amplitude(m, (1, 0), (0, 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.ones((2, 3)), np.ones((2, 2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]])],
+    ids=["non-square", "3-D", "nan"],
+)
+@pytest.mark.parametrize("name", sorted(SQUARE_MATRIX_ENTRY_POINTS))
+def test_square_matrix_entry_points_reject_bad_input(name, bad):
+    with pytest.raises(ValueError):
+        SQUARE_MATRIX_ENTRY_POINTS[name](bad)
