@@ -42,7 +42,6 @@ from .permanents import (
     expand_submatrix,
     permanent_glynn,
     permanent_naive,
-    permanent_ryser,
 )
 from .sampling import ChiSquareResult, SampleRun, chi_square_gof, sample
 from .transforms import (
@@ -90,7 +89,6 @@ __all__ = [
     "parse_state",
     "permanent_glynn",
     "permanent_naive",
-    "permanent_ryser",
     "random_haar_unitary",
     "realify",
     "sample",

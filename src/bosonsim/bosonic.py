@@ -17,8 +17,8 @@ all.  Equality of that fast route with the first moment of the
 permanent-based distribution is the central cross-check in the test suite.
 
 Functions here assume the matrix is unitary (see
-``transforms.validate_unitary``); only shape compatibility and finite
-entries are checked.
+``transforms.validate_unitary``); only shape compatibility, finite entries
+and the particle number (at most ``PERMANENT_SIZE_LIMIT``) are checked.
 Amplitudes are reported in the gauge where the vacuum is left invariant,
 so an overall phase e^{i*phi} on U shows up as e^{i*n*phi} on amplitudes
 and cancels from every probability.
@@ -39,7 +39,7 @@ from .fock import (
     validate_occupation,
 )
 from .formatting import format_float
-from .permanents import as_square_matrix, expand_submatrix, permanent_ryser
+from .permanents import PERMANENT_SIZE_LIMIT, as_square_matrix, expand_submatrix, permanent_glynn
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,19 @@ def _check_transition(unitary, inp: tuple[int, ...], out: tuple[int, ...]) -> np
     return u
 
 
+def _check_particle_number(n: int) -> None:
+    """Refuse more particles than the permanent kernel takes, before any allocation."""
+    if n > PERMANENT_SIZE_LIMIT:
+        raise ValueError(f"{n} particles exceed the permanent size guard {PERMANENT_SIZE_LIMIT}")
+
+
 def transition_amplitude(unitary, input_state, output_state) -> TransitionAmplitude:
     """Single transition amplitude <out|U|in> between Fock states."""
     inp = validate_occupation(input_state)
     out = validate_occupation(output_state)
     u = _check_transition(unitary, inp, out)
-    per = permanent_ryser(expand_submatrix(u, out, inp))
+    _check_particle_number(sum(inp))
+    per = permanent_glynn(expand_submatrix(u, out, inp))
     norm = math.sqrt(normalization_gamma(out) * normalization_gamma(inp))
     return TransitionAmplitude(value=per / norm, input_state=inp, output_state=out)
 
@@ -113,7 +120,7 @@ def _amplitudes(u: np.ndarray, basis: FockBasis, inp: tuple[int, ...]) -> np.nda
     sqrt_gamma_in = math.sqrt(normalization_gamma(inp))
     amplitudes = np.empty(len(basis), dtype=np.complex128)
     for i, out in enumerate(basis.states):
-        per = permanent_ryser(u_cols[np.repeat(modes, out), :])
+        per = permanent_glynn(u_cols[np.repeat(modes, out), :])
         amplitudes[i] = per / (sqrt_gamma_in * math.sqrt(normalization_gamma(out)))
     return amplitudes
 
@@ -124,6 +131,7 @@ def output_distribution(
     """Probabilities |amplitude|^2 for every n-particle output state."""
     inp = validate_occupation(input_state)
     u = _check_mode_count(unitary, inp)
+    _check_particle_number(sum(inp))
     basis = enumerate_basis(u.shape[0], sum(inp), cap)
     amplitudes = _amplitudes(u, basis, inp)
     return OutputDistribution(
@@ -145,6 +153,7 @@ def symmetric_power_matrix(unitary, n: int, cap: int = DEFAULT_BASIS_CAP) -> np.
     """
     if n < 0:
         raise ValueError("particle number must be nonnegative")
+    _check_particle_number(n)
     u = as_square_matrix(unitary)
     basis = enumerate_basis(u.shape[0], n, cap)
     return np.column_stack([_amplitudes(u, basis, s) for s in basis.states])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .bosonic import OutputDistribution
 from .errors import ValidationError
@@ -96,7 +96,7 @@ def chi_square_gof(run: SampleRun, dist: OutputDistribution) -> ChiSquareResult:
     obs_arr = np.asarray(obs_bins)
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = bins - 1
-    p_value = float(chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return ChiSquareResult(
         statistic=statistic, p_value=p_value, degrees_of_freedom=dof, bins=bins
     )

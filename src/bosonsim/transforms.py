@@ -34,8 +34,11 @@ def unitarity_deviation(matrix) -> float:
 def validate_unitary(matrix, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
     """Return the matrix as complex128 after checking unitarity.
 
-    Raises ValidationError if ||U^dag U - I||_max exceeds ``tol``.
+    Raises ValidationError if ||U^dag U - I||_max exceeds ``tol``, and
+    ValueError unless 0 < ``tol`` < inf (a NaN tolerance would pass anything).
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"unitarity tolerance must be positive and finite, got {tol!r}")
     a = as_square_matrix(matrix)
     dev = unitarity_deviation(a)
     if dev > tol:

@@ -21,7 +21,7 @@ from bosonsim.fermionic import (
     fermion_distribution,
     fermion_mode_probability,
 )
-from bosonsim.permanents import permanent_naive, permanent_ryser
+from bosonsim.permanents import permanent_glynn, permanent_naive
 from bosonsim.sampling import chi_square_gof, sample
 from bosonsim.transforms import (
     check_orthogonal,
@@ -56,10 +56,10 @@ def test_criterion_1_permanent_oracle_equivalence():
     for i in range(200):
         n = 1 + i % 8
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        worst = max(worst, rel_err(permanent_ryser(m), permanent_naive(m)))
+        worst = max(worst, rel_err(permanent_glynn(m), permanent_naive(m)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 10.0
-    report(1, ok, f"ryser vs naive on 200 matrices, worst rel err {worst:.2e}, {elapsed:.2f}s")
+    report(1, ok, f"glynn vs naive on 200 matrices, worst rel err {worst:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_2_hong_ou_mandel_dichotomy():

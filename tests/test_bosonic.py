@@ -13,7 +13,7 @@ from bosonsim.bosonic import (
     transition_amplitude,
 )
 from bosonsim.fock import enumerate_basis, normalization_gamma, occupation_to_sequence
-from bosonsim.permanents import permanent_naive, permanent_ryser
+from bosonsim.permanents import permanent_naive
 from bosonsim.transforms import random_haar_unitary
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -57,7 +57,6 @@ def test_full_occupancy_amplitude_is_permanent():
     ones = (1, 1, 1, 1)
     amp = transition_amplitude(u, ones, ones)
     assert np.isclose(amp.value, permanent_naive(u))
-    assert np.isclose(amp.value, permanent_ryser(u))
 
 
 def test_vacuum_amplitude_is_one():
@@ -84,6 +83,22 @@ def test_amplitude_rejects_particle_mismatch():
 def test_amplitude_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         transition_amplitude(np.eye(3), (1, 1), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "entry_point, args",
+    [
+        (output_distribution, ((10**15,),)),
+        (symmetric_power_matrix, (10**15,)),
+        (transition_amplitude, ((10**20,), (10**20,))),
+    ],
+    ids=["output_distribution", "symmetric_power_matrix", "transition_amplitude"],
+)
+def test_particle_guard_precedes_allocation(entry_point, args):
+    # unguarded, these end in MemoryError or OverflowError while the basis or
+    # the submatrix is built
+    with pytest.raises(ValueError, match="guard"):
+        entry_point(np.eye(1), *args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bosonsim
 from bosonsim.cli import RunConfig, main
 from bosonsim.transforms import matrix_to_jsonable
 
@@ -56,6 +60,17 @@ def test_check_non_unitary_exits_3(tmp_path, capsys):
     assert code == 3
     assert "unitarity deviation = 3" in out
     assert err.startswith("error:")
+
+
+def test_check_nan_tolerance_exits_2(tmp_path, capsys):
+    # a NaN tolerance would let every deviation pass, so it is refused up front
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(matrix_to_jsonable(np.diag([1.0, 2.0]))))
+    code, out, err = run_cli(capsys, "check", str(path), "--tol", "nan")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "\n" not in err.strip()
 
 
 def test_permanent_command(bs_file, capsys):
@@ -223,9 +238,7 @@ def test_cap_violation_exits_2(capsys):
 
 
 def test_particle_guard_exits_2(bs_file, capsys):
-    code, _, err = run_cli(
-        capsys, "amplitude", bs_file, "--in", "20,20", "--out", "20,20", "--perm-guard", "8"
-    )
+    code, _, err = run_cli(capsys, "amplitude", bs_file, "--in", "20,20", "--out", "20,20")
     assert code == 2
     assert "guard" in err
 
@@ -239,8 +252,9 @@ def test_non_unitary_matrix_exits_3(tmp_path, capsys):
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(unitarity_tol=-1.0)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(unitarity_tol=tol)
     with pytest.raises(ValueError):
         RunConfig(basis_cap=0)
     with pytest.raises(ValueError):
@@ -261,3 +275,14 @@ def test_sample_point_mass_exits_0(tmp_path, capsys, extra):
         "degrees_of_freedom": 0,
         "bins": 1,
     }
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats takes about a second to import, and most commands never sample
+    src = str(Path(bosonsim.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import bosonsim.cli; "
+        "sys.exit('scipy.stats' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr or "bosonsim.cli imported scipy.stats"

@@ -14,7 +14,7 @@ from bosonsim.fermionic import (
     fermion_mode_probability,
     occupied_modes,
 )
-from bosonsim.permanents import determinant, permanent_ryser
+from bosonsim.permanents import determinant, permanent_glynn
 from bosonsim.bosonic import output_distribution
 from bosonsim.transforms import random_haar_unitary
 
@@ -182,7 +182,7 @@ def test_per_outcome_cost_contrast():
 
     start = time.perf_counter()
     for _ in range(reps):
-        permanent_ryser(u)
+        permanent_glynn(u)
     permanent_time = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -1,17 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from bosonsim.permanents import (
     NAIVE_SIZE_LIMIT,
-    RYSER_SIZE_LIMIT,
+    PERMANENT_SIZE_LIMIT,
     determinant,
     expand_submatrix,
     permanent_glynn,
     permanent_naive,
-    permanent_ryser,
 )
+from bosonsim.transforms import random_haar_unitary
 
 
 def rel_err(a, b):
@@ -31,6 +32,32 @@ def det_cofactor(a):
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += (-1) ** j * a[0, j] * det_cofactor(minor)
     return total
+
+
+def ryser_mp(a, dps=30):
+    """High-precision oracle: Ryser's subset formula, Gray-coded, in ``dps``-digit mpmath.
+
+    A different formula from the production Glynn kernel; at 30 digits its own
+    roundoff is far below double precision at the sizes tested here.
+    """
+    n = a.shape[0]
+    with mpmath.workdps(dps):
+        cols = [[mpmath.mpc(complex(a[i, j])) for i in range(n)] for j in range(n)]
+        row_sums = [mpmath.mpc(0)] * n
+        total = mpmath.mpc(0)
+        gray = 0
+        for k in range(1, 1 << n):
+            bit = k & -k
+            col = cols[bit.bit_length() - 1]
+            gray ^= bit
+            if gray & bit:
+                row_sums = [s + c for s, c in zip(row_sums, col)]
+            else:
+                row_sums = [s - c for s, c in zip(row_sums, col)]
+            # |S| changes parity with every Gray step, so the sign follows k
+            term = mpmath.fprod(row_sums)
+            total = total - term if k & 1 else total + term
+        return complex(-total if n & 1 else total)
 
 
 def random_complex(rng, n):
@@ -70,7 +97,6 @@ def test_naive_frozen_value():
     )
     frozen = 3.77518236431816 - 23.30374023888491j
     assert rel_err(permanent_naive(m), frozen) < 1e-12
-    assert rel_err(permanent_ryser(m), frozen) < 1e-10
     assert rel_err(permanent_glynn(m), frozen) < 1e-10
 
 
@@ -80,7 +106,7 @@ def test_naive_size_guard():
 
 
 def test_non_square_rejected():
-    for kernel in (permanent_naive, permanent_ryser, permanent_glynn, determinant):
+    for kernel in (permanent_naive, permanent_glynn, determinant):
         with pytest.raises(ValueError):
             kernel(np.ones((2, 3)))
 
@@ -89,34 +115,35 @@ def test_nan_rejected():
     m = np.eye(3, dtype=complex)
     m[1, 1] = np.nan
     with pytest.raises(ValueError):
-        permanent_ryser(m)
+        permanent_glynn(m)
 
 
 def test_empty_matrix_permanent_is_one():
     empty = np.zeros((0, 0), dtype=complex)
     assert permanent_naive(empty) == 1
-    assert permanent_ryser(empty) == 1
     assert permanent_glynn(empty) == 1
     assert determinant(empty) == 1
 
 
 # ---------------------------------------------------------------------------
-# Ryser / Glynn production kernels against the oracle
+# Glynn production kernel and the mpmath Ryser oracle
 # ---------------------------------------------------------------------------
 
 def test_ryser_identity():
-    assert np.isclose(permanent_ryser(np.eye(6)), 1)
+    assert ryser_mp(np.eye(6)) == 1
+    assert np.isclose(permanent_glynn(np.eye(6)), 1)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_ryser_all_ones_counts_permutations(n):
-    assert rel_err(permanent_ryser(np.ones((n, n))), math.factorial(n)) < 1e-10
+    assert ryser_mp(np.ones((n, n))) == math.factorial(n)
+    assert rel_err(permanent_glynn(np.ones((n, n))), math.factorial(n)) < 1e-10
 
 
 def test_ryser_matches_naive_random_6x6():
     rng = np.random.default_rng(66)
     m = random_complex(rng, 6)
-    assert rel_err(permanent_ryser(m), permanent_naive(m)) < 1e-10
+    assert rel_err(ryser_mp(m), permanent_naive(m)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -124,16 +151,24 @@ def test_kernels_agree_up_to_8(n):
     rng = np.random.default_rng(1000 + n)
     for _ in range(5):
         m = random_complex(rng, n)
-        oracle = permanent_naive(m)
-        assert rel_err(permanent_ryser(m), oracle) < 1e-10
-        assert rel_err(permanent_glynn(m), oracle) < 1e-10
+        assert rel_err(permanent_glynn(m), permanent_naive(m)) < 1e-10
 
 
-def test_ryser_size_guard():
+@pytest.mark.parametrize("n", range(10, 14))
+def test_glynn_matches_mpmath_ryser(n):
+    # Haar submatrices as in transition amplitudes: all rows distinct, and
+    # rows repeated in pairs as for a bunched output state
+    u = random_haar_unitary(2 * n, seed=n)
+    plain = u[:n, :n]
+    bunched = u[np.repeat(np.arange((n + 1) // 2), 2)[:n], :n]
+    for m in (plain, bunched):
+        oracle = ryser_mp(m)
+        assert abs(permanent_glynn(m) - oracle) / abs(oracle) < 1e-12
+
+
+def test_glynn_size_guard():
     with pytest.raises(ValueError):
-        permanent_ryser(np.eye(RYSER_SIZE_LIMIT + 1))
-    with pytest.raises(ValueError):
-        permanent_glynn(np.eye(RYSER_SIZE_LIMIT + 1))
+        permanent_glynn(np.eye(PERMANENT_SIZE_LIMIT + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,32 +179,32 @@ def test_permutation_invariance():
     rng = np.random.default_rng(17)
     for n in (3, 5, 8):
         m = random_complex(rng, n)
-        reference = permanent_ryser(m)
+        reference = permanent_glynn(m)
         row_perm = rng.permutation(n)
         col_perm = rng.permutation(n)
-        assert rel_err(permanent_ryser(m[row_perm, :]), reference) < 1e-10
-        assert rel_err(permanent_ryser(m[:, col_perm]), reference) < 1e-10
+        assert rel_err(permanent_glynn(m[row_perm, :]), reference) < 1e-10
+        assert rel_err(permanent_glynn(m[:, col_perm]), reference) < 1e-10
 
 
 def test_zero_row_gives_zero():
     rng = np.random.default_rng(18)
     m = random_complex(rng, 5)
     m[2, :] = 0
-    assert abs(permanent_ryser(m)) < 1e-10
+    assert abs(permanent_glynn(m)) < 1e-10
     assert abs(permanent_naive(m)) < 1e-10
 
 
 def test_diagonal_permanent_is_product():
     diag = np.array([2.0, -1.5, 0.5 + 1j, 3j])
     m = np.diag(diag)
-    assert np.isclose(permanent_ryser(m), diag.prod())
+    assert np.isclose(permanent_glynn(m), diag.prod())
     assert np.isclose(determinant(m), diag.prod())
 
 
 def test_transpose_invariance():
     rng = np.random.default_rng(19)
     m = random_complex(rng, 6)
-    assert rel_err(permanent_ryser(m.T), permanent_ryser(m)) < 1e-10
+    assert rel_err(permanent_glynn(m.T), permanent_glynn(m)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ def test_validate_rejects_scaled_column():
         validate_unitary(np.diag([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_validate_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        validate_unitary(np.eye(2), tol=tol)
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(ValueError):
         validate_unitary(np.ones((2, 3)))
