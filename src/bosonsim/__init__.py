@@ -38,7 +38,6 @@ from .fock import (
     sequence_to_occupation,
 )
 from .permanents import (
-    determinant,
     expand_submatrix,
     permanent_glynn,
     permanent_naive,
@@ -68,7 +67,6 @@ __all__ = [
     "check_orthogonal",
     "check_symplectic",
     "chi_square_gof",
-    "determinant",
     "distribution_to_csv",
     "distribution_to_jsonable",
     "enumerate_basis",

@@ -9,7 +9,7 @@ where U[out, in] repeats row k of U r_out[k] times and column j r_in[j]
 times, and Gamma is the product of occupation factorials.  Collecting the
 amplitudes over the whole n-particle basis yields the symmetric-power
 matrix of U -- a unitary of dimension C(d+n-1, n) whose construction costs
-one permanent per entry.
+one permanent per entry, evaluated in stacked blocks of outcomes.
 
 ``mean_photon_numbers`` is the contrasting observable: per-mode expected
 occupations after the network, computable in O(d^2) with no permanent at
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -39,7 +40,14 @@ from .fock import (
     validate_occupation,
 )
 from .formatting import format_float
-from .permanents import PERMANENT_SIZE_LIMIT, as_square_matrix, expand_submatrix, permanent_glynn
+from .permanents import (
+    PERMANENT_SIZE_LIMIT,
+    _glynn,
+    as_square_matrix,
+    expand_submatrix,
+    permanent_glynn,
+    submatrix_kernel,
+)
 
 
 @dataclass(frozen=True)
@@ -114,14 +122,17 @@ def transition_amplitude(unitary, input_state, output_state) -> TransitionAmplit
 
 
 def _amplitudes(u: np.ndarray, basis: FockBasis, inp: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes from ``inp`` to each state of ``basis``: one permanent per outcome."""
-    modes = np.arange(basis.d)
-    u_cols = u[:, np.repeat(modes, inp)]
-    sqrt_gamma_in = math.sqrt(normalization_gamma(inp))
-    amplitudes = np.empty(len(basis), dtype=np.complex128)
-    for i, out in enumerate(basis.states):
-        per = permanent_glynn(u_cols[np.repeat(modes, out), :])
-        amplitudes[i] = per / (sqrt_gamma_in * math.sqrt(normalization_gamma(out)))
+    """Amplitudes from ``inp`` to each state of ``basis``, one Glynn walk per block."""
+    d, n, k = basis.d, basis.n, len(basis)
+    # ascending mode sequences: the canonical order of basis.states
+    sequences = chain.from_iterable(combinations_with_replacement(range(d), n))
+    rows = np.fromiter(sequences, dtype=np.intp, count=k * n).reshape(k, n)
+    amplitudes = submatrix_kernel(_glynn, u[:, np.repeat(np.arange(d), inp)], rows)
+    gamma_out = np.fromiter(map(normalization_gamma, basis.states), dtype=float, count=k)
+    norm = math.sqrt(normalization_gamma(inp)) * np.sqrt(gamma_out)
+    # part by part, bit for bit as Python's complex / float (numpy's complex division is not)
+    amplitudes.real /= norm
+    amplitudes.imag /= norm
     return amplitudes
 
 
@@ -185,10 +196,10 @@ def distribution_to_jsonable(dist: OutputDistribution) -> dict:
     }
 
 
-def distribution_to_csv(dist: OutputDistribution, float_format=format_float) -> str:
+def distribution_to_csv(dist: OutputDistribution) -> str:
     """CSV rendering, one `state;probability` row per outcome."""
     probs = dist.clamped_probabilities()
     lines = ["state;probability"]
     for i, state in enumerate(dist.states):
-        lines.append(",".join(str(r) for r in state) + ";" + float_format(float(probs[i])))
+        lines.append(",".join(str(r) for r in state) + ";" + format_float(float(probs[i])))
     return "\n".join(lines) + "\n"

@@ -7,7 +7,8 @@ chi-square self-test, unitarity/symplectic checks, and Haar-random unitary
 generation.
 
 Exit codes: 0 on success, 2 on input errors (malformed files, dimension
-mismatches, cap violations), 3 on numerical validation failures.
+mismatches, cap violations, requests too large to allocate), 3 on numerical
+validation failures.
 All floating-point output uses 17 significant digits so runs are
 byte-for-byte reproducible.
 """
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

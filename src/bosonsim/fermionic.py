@@ -14,7 +14,7 @@ two rows of the submatrix flips the amplitude sign but never a probability.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +25,8 @@ from .bosonic import (
     _check_transition,
     mean_photon_numbers,
 )
-from .fock import DEFAULT_BASIS_CAP
-from .permanents import determinant
+from .fock import DEFAULT_BASIS_CAP, _occupations
+from .permanents import submatrix_kernel
 
 
 def validate_fermion_state(state: Sequence[int]) -> tuple[int, ...]:
@@ -59,13 +59,7 @@ def enumerate_fermion_basis(
     size = fermion_basis_size(d, n)
     if size > cap:
         raise ValueError(f"basis size C({d},{n}) = {size} exceeds cap {cap}")
-    states = []
-    for occupied in combinations(range(d), n):
-        state = [0] * d
-        for k in occupied:
-            state[k] = 1
-        states.append(tuple(state))
-    return tuple(states)
+    return tuple(_occupations(d, combinations(range(d), n)))
 
 
 def occupied_modes(state: Sequence[int]) -> np.ndarray:
@@ -79,7 +73,7 @@ def fermion_amplitude(unitary, input_state, output_state) -> complex:
     out = validate_fermion_state(output_state)
     u = _check_transition(unitary, inp, out)
     sub = u[np.ix_(occupied_modes(out), occupied_modes(inp))]
-    return determinant(sub)
+    return complex(np.linalg.det(sub))
 
 
 def fermion_distribution(
@@ -88,11 +82,12 @@ def fermion_distribution(
     """Probabilities |det|^2 over all C(d, n) fermionic outcomes."""
     inp = validate_fermion_state(input_state)
     u = _check_mode_count(unitary, inp)
-    states = enumerate_fermion_basis(u.shape[0], sum(inp), cap)
-    u_cols = u[:, occupied_modes(inp)]
-    amplitudes = np.empty(len(states), dtype=np.complex128)
-    for i, out in enumerate(states):
-        amplitudes[i] = determinant(u_cols[occupied_modes(out), :])
+    d, n = u.shape[0], sum(inp)
+    states = enumerate_fermion_basis(d, n, cap)
+    # the occupied modes of each outcome, in the canonical order of ``states``
+    occupied = chain.from_iterable(combinations(range(d), n))
+    rows = np.fromiter(occupied, dtype=np.intp, count=len(states) * n).reshape(len(states), n)
+    amplitudes = submatrix_kernel(np.linalg.det, u[:, occupied_modes(inp)], rows)
     return OutputDistribution(
         input_state=inp,
         states=states,

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator, Sequence
 
 #: default limit on the number of basis states materialized at once
 DEFAULT_BASIS_CAP = 10**6
@@ -31,24 +32,13 @@ def basis_size(d: int, n: int) -> int:
     return math.comb(d + n - 1, n)
 
 
-def _occupations(d: int, n: int) -> Iterator[tuple[int, ...]]:
-    # lexicographically decreasing, (n,0,...,0) first; iterative successor
-    occ = [0] * d
-    occ[0] = n
-    while True:
+def _occupations(d: int, sequences: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    # count the 0-based modes of each sequence into an occupation vector
+    for sequence in sequences:
+        occ = [0] * d
+        for k in sequence:
+            occ[k] += 1
         yield tuple(occ)
-        k = -1
-        for i in range(d - 2, -1, -1):
-            if occ[i] > 0:
-                k = i
-                break
-        if k < 0:
-            return
-        rest = occ[d - 1]
-        occ[k] -= 1
-        occ[k + 1] = rest + 1
-        for i in range(k + 2, d):
-            occ[i] = 0
 
 
 @dataclass(frozen=True)
@@ -90,7 +80,9 @@ def enumerate_basis(d: int, n: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
     size = basis_size(d, n)
     if size > cap:
         raise ValueError(f"basis size C({d + n - 1},{n}) = {size} exceeds cap {cap}")
-    return FockBasis(d=d, n=n, states=tuple(_occupations(d, n)))
+    # ascending mode sequences are the canonical order
+    sequences = combinations_with_replacement(range(d), n)
+    return FockBasis(d=d, n=n, states=tuple(_occupations(d, sequences)))
 
 
 def validate_occupation(occupation: Sequence[int]) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Exact permanent and determinant kernels.
+"""Exact permanent kernels, and the block routine that feeds them submatrices.
 
 The permanent of an n x n matrix A is
 
@@ -11,10 +11,16 @@ algorithm for it.  Two kernels are provided:
 * ``permanent_naive``   -- direct enumeration of the n! permutations; slow,
   but so simple it serves as the oracle for everything else.
 * ``permanent_glynn``   -- Glynn's formula with Gray-code updates over the
-  2^(n-1) sign vectors, O(2^(n-1) * n); the production kernel.
+  2^(n-1) sign vectors, O(2^(n-1) * n); the production kernel.  Its walk,
+  ``_glynn``, takes a ``(..., n, n)`` stack as well as one matrix.
 
-``expand_submatrix`` builds the repeated-row/column square submatrices whose
-permanents (or determinants) appear in many-particle transition amplitudes.
+``submatrix_kernel`` builds every full distribution: it stacks the outcome
+submatrices ``OUTCOME_BLOCK`` = 512 at a time and makes one kernel call per
+block, ``_glynn`` for bosons and ``numpy.linalg.det`` for fermions.  Blocks
+bound the stack (a whole C(22,11)-outcome one takes 1.4 GB), and blocks of 512
+keep peak RSS where one outcome at a time kept it: freeing a stack of several
+MB raises glibc's mmap threshold, and later allocations then stay in RSS.
+``expand_submatrix`` builds one repeated-row/column submatrix.
 
 All accumulation is in double precision.  On Haar submatrices, with distinct
 and with pairwise-repeated rows (3 of each per size), the measured relative
@@ -36,6 +42,8 @@ import numpy as np
 NAIVE_SIZE_LIMIT = 10
 #: size guard for the 2^n-cost production kernel, and so for boson particle number
 PERMANENT_SIZE_LIMIT = 30
+#: outcomes whose submatrices ``submatrix_kernel`` stacks per kernel call
+OUTCOME_BLOCK = 512
 
 
 def as_square_matrix(matrix, dtype=np.complex128) -> np.ndarray:
@@ -72,6 +80,28 @@ def permanent_naive(matrix) -> complex:
     return complex(total)
 
 
+def _glynn(stack: np.ndarray) -> np.ndarray:
+    """Glynn's Gray-code walk over a ``(..., n, n)`` stack: one permanent per matrix."""
+    n = stack.shape[-1]
+    if n == 0:
+        return np.ones(stack.shape[:-2], dtype=np.complex128)
+    col_sums = stack.sum(axis=-2).astype(np.complex128)
+    total = col_sums.prod(axis=-1)
+    sign = 1
+    gray = 0
+    for k in range(1, 1 << (n - 1)):
+        bit = k & -k
+        i = bit.bit_length()  # flip delta_i for row i (delta_0 stays +1)
+        gray ^= bit
+        if gray & bit:
+            col_sums -= 2.0 * stack[..., i, :]
+        else:
+            col_sums += 2.0 * stack[..., i, :]
+        sign = -sign
+        total += sign * col_sums.prod(axis=-1)
+    return total / 2 ** (n - 1)
+
+
 def permanent_glynn(matrix) -> complex:
     """Permanent via Glynn's formula, Gray-coded over sign vectors.
 
@@ -84,41 +114,13 @@ def permanent_glynn(matrix) -> complex:
     n = a.shape[0]
     if n > PERMANENT_SIZE_LIMIT:
         raise ValueError(f"permanent_glynn is guarded at n <= {PERMANENT_SIZE_LIMIT}, got n = {n}")
-    if n == 0:
-        return 1.0 + 0.0j
-    col_sums = a.sum(axis=0).astype(np.complex128)
-    total = col_sums.prod()
-    sign = 1
-    gray = 0
-    for k in range(1, 1 << (n - 1)):
-        bit = k & -k
-        i = bit.bit_length()  # flip delta_i for row i (delta_0 stays +1)
-        gray ^= bit
-        if gray & bit:
-            col_sums -= 2.0 * a[i, :]
-        else:
-            col_sums += 2.0 * a[i, :]
-        sign = -sign
-        total += sign * col_sums.prod()
-    return complex(total / 2 ** (n - 1))
+    return complex(_glynn(a))
 
 
-def determinant(matrix) -> complex:
-    """Determinant via Gaussian elimination with partial pivoting, O(n^3)."""
-    a = as_square_matrix(matrix).copy()
-    n = a.shape[0]
-    det = 1.0 + 0.0j
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0:
-            return 0.0 + 0.0j
-        if pivot != col:
-            a[[col, pivot], :] = a[[pivot, col], :]
-            det = -det
-        det *= a[col, col]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-    return complex(det)
+def submatrix_kernel(kernel, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``kernel`` of each submatrix ``cols[rows[k]]`` (outcome k's rows of the input columns)."""
+    blocks = range(0, len(rows), OUTCOME_BLOCK)
+    return np.concatenate([kernel(cols[rows[lo : lo + OUTCOME_BLOCK]]) for lo in blocks])
 
 
 def expand_submatrix(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bosonsim import permanents
 from bosonsim.bosonic import (
     distribution_to_csv,
     distribution_to_jsonable,
@@ -13,7 +14,7 @@ from bosonsim.bosonic import (
     transition_amplitude,
 )
 from bosonsim.fock import enumerate_basis, normalization_gamma, occupation_to_sequence
-from bosonsim.permanents import permanent_naive
+from bosonsim.permanents import permanent_glynn, permanent_naive
 from bosonsim.transforms import random_haar_unitary
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -118,6 +119,32 @@ def test_beamsplitter_distribution_values():
     assert abs(dist.probabilities[0] - 0.5) < 1e-12
     assert dist.probabilities[1] < 1e-12
     assert abs(dist.probabilities[2] - 0.5) < 1e-12
+
+
+def test_vacuum_distribution_is_one_outcome():
+    dist = output_distribution(random_haar_unitary(4, seed=22), (0, 0, 0, 0))
+    assert dist.states == ((0, 0, 0, 0),)
+    assert dist.amplitudes.tolist() == [1]
+
+
+@pytest.mark.parametrize("block", [1, 7, 512])
+def test_distribution_blocks_match_per_outcome_permanents(monkeypatch, block):
+    # 792 outcomes: a full block of 512 and a ragged one, 7-blocks, singletons
+    monkeypatch.setattr(permanents, "OUTCOME_BLOCK", block)
+    u = random_haar_unitary(8, seed=24)
+    inp = (2, 1, 1, 1, 0, 0, 0, 0)
+    dist = output_distribution(u, inp)
+    assert len(dist) == 792
+    # outcome by outcome, dividing in Python by sqrt(Gamma_in) * sqrt(Gamma_out)
+    modes = np.arange(8)
+    cols = u[:, np.repeat(modes, inp)]
+    sqrt_gamma_in = math.sqrt(normalization_gamma(inp))
+    reference = [
+        permanent_glynn(cols[np.repeat(modes, out)])
+        / (sqrt_gamma_in * math.sqrt(normalization_gamma(out)))
+        for out in dist.states
+    ]
+    assert np.array_equal(dist.amplitudes, reference)
 
 
 def test_random_distribution_normalized():

@@ -8,7 +8,7 @@ import pytest
 
 import bosonsim
 from bosonsim.cli import RunConfig, main
-from bosonsim.transforms import matrix_to_jsonable
+from bosonsim.transforms import matrix_to_jsonable, random_haar_unitary
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -17,6 +17,13 @@ BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 def bs_file(tmp_path):
     path = tmp_path / "beamsplitter.json"
     path.write_text(json.dumps(matrix_to_jsonable(BEAMSPLITTER)))
+    return str(path)
+
+
+@pytest.fixture
+def u4_file(tmp_path):
+    path = tmp_path / "u4.json"
+    path.write_text(json.dumps(matrix_to_jsonable(random_haar_unitary(4, seed=1))))
     return str(path)
 
 
@@ -241,6 +248,30 @@ def test_particle_guard_exits_2(bs_file, capsys):
     code, _, err = run_cli(capsys, "amplitude", bs_file, "--in", "20,20", "--out", "20,20")
     assert code == 2
     assert "guard" in err
+
+
+def test_distribution_fermion_vacuum_exits_0(u4_file, capsys):
+    code, out, err = run_cli(capsys, "distribution", u4_file, "--in", "0,0,0,0", "--fermion")
+    assert code == 0, err
+    assert json.loads(out)["outcomes"] == [
+        {"state": [0, 0, 0, 0], "probability": 1.0, "amplitude": [1.0, 0.0]}
+    ]
+
+
+# each asks for more than 128 TiB, beyond any user address space, so the
+# allocation fails at once whatever the kernel's overcommit mode
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "U4", "--in", "1,1,0,0", "--count", "1000000000000000", "--seed", "1"),
+        ("random-unitary", "--d", "100000000", "--seed", "1"),
+    ],
+)
+def test_out_of_memory_exits_2(u4_file, capsys, argv):
+    code, out, err = run_cli(capsys, *(u4_file if a == "U4" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_non_unitary_matrix_exits_3(tmp_path, capsys):

@@ -14,8 +14,8 @@ from bosonsim.fermionic import (
     fermion_mode_probability,
     occupied_modes,
 )
-from bosonsim.permanents import determinant, permanent_glynn
-from bosonsim.bosonic import output_distribution
+from bosonsim import permanents
+from bosonsim.bosonic import output_distribution, transition_amplitude
 from bosonsim.transforms import random_haar_unitary
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -56,7 +56,29 @@ def test_pauli_blocking_on_beamsplitter():
 def test_full_occupancy_amplitude_is_determinant():
     u = random_haar_unitary(4, seed=14)
     ones = (1, 1, 1, 1)
-    assert np.isclose(fermion_amplitude(u, ones, ones), determinant(u))
+    det = np.linalg.det(u)
+    assert np.isclose(fermion_amplitude(u, ones, ones), det)
+    dist = fermion_distribution(u, ones)
+    assert dist.states == (ones,)
+    assert np.isclose(dist.amplitudes[0], det)
+
+
+def test_vacuum_distribution_is_one_outcome():
+    dist = fermion_distribution(random_haar_unitary(4, seed=18), (0, 0, 0, 0))
+    assert dist.states == ((0, 0, 0, 0),)
+    assert dist.amplitudes.tolist() == [1]
+
+
+@pytest.mark.parametrize("block", [1, 7, 512])
+def test_distribution_blocks_match_per_outcome_amplitudes(monkeypatch, block):
+    # 715 outcomes: several blocks of 512, a ragged last block of 7, and singletons
+    monkeypatch.setattr(permanents, "OUTCOME_BLOCK", block)
+    u = random_haar_unitary(13, seed=23)
+    inp = (1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0)
+    dist = fermion_distribution(u, inp)
+    assert len(dist) == math.comb(13, 4)
+    reference = [fermion_amplitude(u, inp, out) for out in dist.states]
+    assert np.array_equal(dist.amplitudes, reference)
 
 
 def test_bose_fermi_dichotomy():
@@ -82,12 +104,14 @@ def test_random_distribution_normalized():
 
 
 def test_antisymmetry_under_row_swap():
+    # relabelling the two occupied output modes swaps two submatrix rows
     u = random_haar_unitary(4, seed=16)
     inp, out = (1, 1, 0, 0), (0, 1, 1, 0)
     rows = occupied_modes(out)
-    cols = occupied_modes(inp)
-    reference = determinant(u[np.ix_(rows, cols)])
-    swapped = determinant(u[np.ix_(rows[::-1], cols)])
+    relabelled = u.copy()
+    relabelled[rows] = relabelled[rows[::-1]]
+    reference = fermion_amplitude(u, inp, out)
+    swapped = fermion_amplitude(relabelled, inp, out)
     assert np.isclose(swapped, -reference)
     assert np.isclose(abs(swapped) ** 2, abs(reference) ** 2)
 
@@ -174,20 +198,21 @@ def test_mode_probabilities_sum_to_particle_number():
 
 
 def test_per_outcome_cost_contrast():
-    # same 10x10 submatrix job: the determinant route must beat the
-    # 2^n-step permanent route comfortably
+    # same 10x10 submatrix job: the fermion (determinant) amplitude must beat
+    # the 2^n-step boson (permanent) amplitude comfortably
     n = 10
     u = random_haar_unitary(n, seed=110)
+    ones = (1,) * n
     reps = 5
 
     start = time.perf_counter()
     for _ in range(reps):
-        permanent_glynn(u)
+        transition_amplitude(u, ones, ones)
     permanent_time = time.perf_counter() - start
 
     start = time.perf_counter()
     for _ in range(reps):
-        determinant(u)
+        fermion_amplitude(u, ones, ones)
     determinant_time = time.perf_counter() - start
 
     assert permanent_time > 2.0 * determinant_time, (permanent_time, determinant_time)

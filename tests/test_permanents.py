@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from bosonsim.fermionic import fermion_amplitude
 from bosonsim.permanents import (
     NAIVE_SIZE_LIMIT,
     PERMANENT_SIZE_LIMIT,
-    determinant,
     expand_submatrix,
     permanent_glynn,
     permanent_naive,
@@ -106,7 +106,7 @@ def test_naive_size_guard():
 
 
 def test_non_square_rejected():
-    for kernel in (permanent_naive, permanent_glynn, determinant):
+    for kernel in (permanent_naive, permanent_glynn):
         with pytest.raises(ValueError):
             kernel(np.ones((2, 3)))
 
@@ -122,7 +122,6 @@ def test_empty_matrix_permanent_is_one():
     empty = np.zeros((0, 0), dtype=complex)
     assert permanent_naive(empty) == 1
     assert permanent_glynn(empty) == 1
-    assert determinant(empty) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def test_diagonal_permanent_is_product():
     diag = np.array([2.0, -1.5, 0.5 + 1j, 3j])
     m = np.diag(diag)
     assert np.isclose(permanent_glynn(m), diag.prod())
-    assert np.isclose(determinant(m), diag.prod())
+    assert np.isclose(full_occupancy_det(m), diag.prod())
 
 
 def test_transpose_invariance():
@@ -208,31 +207,36 @@ def test_transpose_invariance():
 
 
 # ---------------------------------------------------------------------------
-# determinant
+# determinant: the fermion amplitude at full occupancy is det(U)
 # ---------------------------------------------------------------------------
+
+def full_occupancy_det(m):
+    ones = (1,) * m.shape[0]
+    return fermion_amplitude(m, ones, ones)
+
 
 def test_determinant_identity():
     for n in (1, 3, 7):
-        assert np.isclose(determinant(np.eye(n)), 1)
+        assert np.isclose(full_occupancy_det(np.eye(n)), 1)
 
 
 def test_determinant_2x2_formula():
     a, b, c, d = 2.0, 1j, -3.0, 0.5 - 1j
-    assert np.isclose(determinant([[a, b], [c, d]]), a * d - b * c)
+    assert np.isclose(full_occupancy_det(np.array([[a, b], [c, d]])), a * d - b * c)
 
 
 def test_determinant_matches_cofactor_oracle():
     rng = np.random.default_rng(55)
     for n in range(1, 7):
         m = random_complex(rng, n)
-        assert rel_err(determinant(m), det_cofactor(m)) < 1e-10
+        assert rel_err(full_occupancy_det(m), det_cofactor(m)) < 1e-10
 
 
 def test_determinant_singular_is_zero():
     rng = np.random.default_rng(56)
     m = random_complex(rng, 5)
     m[3, :] = 2.0 * m[1, :]  # linearly dependent rows
-    assert abs(determinant(m)) < 1e-10
+    assert abs(full_occupancy_det(m)) < 1e-10
 
 
 def test_determinant_sign_under_row_swap():
@@ -240,7 +244,7 @@ def test_determinant_sign_under_row_swap():
     m = random_complex(rng, 4)
     swapped = m.copy()
     swapped[[0, 2]] = swapped[[2, 0]]
-    assert np.isclose(determinant(swapped), -determinant(m))
+    assert np.isclose(full_occupancy_det(swapped), -full_occupancy_det(m))
 
 
 # ---------------------------------------------------------------------------
