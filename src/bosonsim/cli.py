@@ -140,26 +140,24 @@ def cmd_sample(args) -> int:
     run = sampling.sample(dist, count=args.count, seed=args.seed)
     gof = sampling.chi_square_gof(run, dist)
     expected = dist.clamped_probabilities() * run.count
-    payload = {
-        "input": [int(r) for r in inp],
-        "seed": run.seed,
-        "count": run.count,
-        "counts": [
-            {
-                "state": [int(r) for r in state],
-                "observed": int(run.counts[i]),
-                "expected": float(expected[i]),
-            }
-            for i, state in enumerate(dist.states)
-        ],
-        "chi_square": {
+    # one template per outcome; + 0.0 prints -0.0 as 0, as format_float does
+    records = ", ".join(
+        f'{{"state": [{", ".join(map(str, state))}], "observed": {observed}, '
+        f'"expected": {value + 0.0:.17g}}}'
+        for state, observed, value in zip(dist.states, run.counts.tolist(), expected.tolist())
+    )
+    chi_square = render_json(
+        {
             "statistic": gof.statistic,
             "p_value": gof.p_value,
             "degrees_of_freedom": gof.degrees_of_freedom,
             "bins": gof.bins,
-        },
-    }
-    print(render_json(payload))
+        }
+    )
+    print(
+        f'{{"input": {render_json(inp)}, "seed": {run.seed}, "count": {run.count}, '
+        f'"counts": [{records}], "chi_square": {chi_square}}}'
+    )
     return 0
 
 

@@ -86,6 +86,7 @@ def _glynn(stack: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.ones(stack.shape[:-2], dtype=np.complex128)
     col_sums = stack.sum(axis=-2).astype(np.complex128)
+    doubled = 2.0 * stack  # doubling is exact, so doing it once changes no result
     total = col_sums.prod(axis=-1)
     sign = 1
     gray = 0
@@ -94,9 +95,9 @@ def _glynn(stack: np.ndarray) -> np.ndarray:
         i = bit.bit_length()  # flip delta_i for row i (delta_0 stays +1)
         gray ^= bit
         if gray & bit:
-            col_sums -= 2.0 * stack[..., i, :]
+            col_sums -= doubled[..., i, :]
         else:
-            col_sums += 2.0 * stack[..., i, :]
+            col_sums += doubled[..., i, :]
         sign = -sign
         total += sign * col_sums.prod(axis=-1)
     return total / 2 ** (n - 1)

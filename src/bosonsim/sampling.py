@@ -1,10 +1,12 @@
 """Exact sampling from computed output distributions, with a self-test.
 
 The distribution is already known in full (that exhaustive computation is
-the expensive part), so sampling is plain inverse-CDF over the canonical
-outcome order with one seeded generator per run -- same seed, same counts,
-bit for bit.  ``chi_square_gof`` is the statistical check that a run is
-consistent with the distribution it was supposedly drawn from.
+the expensive part), so sampling is inverse-CDF over the canonical outcome
+order with one seeded generator per run -- same seed, same counts, bit for
+bit.  The counts come from the sorted draws, one binary search into them per
+CDF entry, and equal exactly those of looking each draw up in the CDF.
+``chi_square_gof`` is the statistical check that a run is consistent with the
+distribution it was supposedly drawn from.
 """
 
 from __future__ import annotations
@@ -46,16 +48,17 @@ def sample(dist: OutputDistribution, count: int, seed: int) -> SampleRun:
     if count < 0:
         raise ValueError("sample count must be nonnegative")
     total = dist.normalization()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # written so that a NaN sum fails
         raise ValidationError(
             f"distribution is not normalized: sum = {total!r} (tol {NORMALIZATION_TOL})"
         )
     cdf = np.cumsum(dist.clamped_probabilities())
-    rng = np.random.default_rng(seed)
-    draws = rng.random(count)
-    indices = np.searchsorted(cdf, draws, side="right")
-    indices = np.minimum(indices, len(dist) - 1)
-    counts = np.bincount(indices, minlength=len(dist))
+    draws = np.random.default_rng(seed).random(count)
+    draws.sort()
+    # the cdf never decreases, so a draw lands in bins 0..j exactly when it is
+    # below cdf[j]; the last bin takes the rest, draws at or above cdf[-1] too
+    below = np.searchsorted(draws, cdf[:-1], side="left")
+    counts = np.diff(below, prepend=0, append=count)
     return SampleRun(seed=seed, count=count, counts=counts)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 import bosonsim
+from bosonsim import cli
 from bosonsim.cli import RunConfig, main
+from bosonsim.formatting import render_json
+from bosonsim.sampling import chi_square_gof, sample
 from bosonsim.transforms import matrix_to_jsonable, random_haar_unitary
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -306,6 +310,69 @@ def test_sample_point_mass_exits_0(tmp_path, capsys, extra):
         "degrees_of_freedom": 0,
         "bins": 1,
     }
+
+
+def sample_payload_by_dict(inp, dist, count, seed):
+    """``sample``'s stdout as first written: a nested dict through render_json."""
+    run = sample(dist, count=count, seed=seed)
+    gof = chi_square_gof(run, dist)
+    expected = dist.clamped_probabilities() * run.count
+    payload = {
+        "input": [int(r) for r in inp],
+        "seed": run.seed,
+        "count": run.count,
+        "counts": [
+            {
+                "state": [int(r) for r in state],
+                "observed": int(run.counts[i]),
+                "expected": float(expected[i]),
+            }
+            for i, state in enumerate(dist.states)
+        ],
+        "chi_square": {
+            "statistic": gof.statistic,
+            "p_value": gof.p_value,
+            "degrees_of_freedom": gof.degrees_of_freedom,
+            "bins": gof.bins,
+        },
+    }
+    return render_json(payload) + "\n"
+
+
+@pytest.mark.parametrize(
+    "matrix, inp, count, signed_zero",
+    [
+        (random_haar_unitary(12, seed=3), (1,) * 6 + (0,) * 6, 1_000_000, False),
+        (random_haar_unitary(8, seed=2), (2, 1, 1, 1, 0, 0, 0, 0), 5000, False),  # bunched
+        (np.eye(3), (1, 0, 2), 100, False),  # point mass: the degenerate chi-square
+        (np.eye(3), (1, 0, 2), 0, False),
+        (BEAMSPLITTER, (1, 1), 1000, True),  # a -0.0 probability, printed as 0
+    ],
+)
+def test_sample_payload_matches_render_json(
+    tmp_path, capsys, monkeypatch, matrix, inp, count, signed_zero
+):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(matrix_to_jsonable(matrix)))
+    compute = cli._compute_distribution
+    used = []
+
+    def compute_and_keep(*args, **kwargs):
+        dist = compute(*args, **kwargs)
+        if signed_zero:
+            zeroed = np.where(dist.probabilities < 1e-20, -0.0, dist.probabilities)
+            assert np.signbit(zeroed).any()
+            dist = dataclasses.replace(dist, probabilities=zeroed)
+        used.append(dist)
+        return dist
+
+    monkeypatch.setattr(cli, "_compute_distribution", compute_and_keep)
+    state = ",".join(map(str, inp))
+    code, out, err = run_cli(
+        capsys, "sample", str(path), "--in", state, "--count", str(count), "--seed", "42"
+    )
+    assert code == 0, err
+    assert out == sample_payload_by_dict(inp, used[0], count, 42)
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -8,6 +8,7 @@ from bosonsim.fermionic import fermion_amplitude
 from bosonsim.permanents import (
     NAIVE_SIZE_LIMIT,
     PERMANENT_SIZE_LIMIT,
+    _glynn,
     expand_submatrix,
     permanent_glynn,
     permanent_naive,
@@ -163,6 +164,42 @@ def test_glynn_matches_mpmath_ryser(n):
     for m in (plain, bunched):
         oracle = ryser_mp(m)
         assert abs(permanent_glynn(m) - oracle) / abs(oracle) < 1e-12
+
+
+def glynn_walk_doubling_per_step(stack):
+    """The Gray-code walk as first written: each step doubles its row afresh."""
+    n = stack.shape[-1]
+    if n == 0:
+        return np.ones(stack.shape[:-2], dtype=np.complex128)
+    col_sums = stack.sum(axis=-2).astype(np.complex128)
+    total = col_sums.prod(axis=-1)
+    sign = 1
+    gray = 0
+    for k in range(1, 1 << (n - 1)):
+        bit = k & -k
+        i = bit.bit_length()
+        gray ^= bit
+        if gray & bit:
+            col_sums -= 2.0 * stack[..., i, :]
+        else:
+            col_sums += 2.0 * stack[..., i, :]
+        sign = -sign
+        total += sign * col_sums.prod(axis=-1)
+    return total / 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_glynn_doubled_rows_are_bit_identical(n):
+    # doubling a float is exact, so doubling every row before the walk
+    # must leave every permanent of a stack the same to the last bit
+    rng = np.random.default_rng(2000 + n)
+    stack = np.stack([random_complex(rng, n) for _ in range(7)])
+    assert np.array_equal(_glynn(stack), glynn_walk_doubling_per_step(stack))
+
+
+def test_glynn_doubled_rows_are_bit_identical_at_15():
+    m = random_haar_unitary(15, seed=15)
+    assert np.array_equal(_glynn(m), glynn_walk_doubling_per_step(m))
 
 
 def test_glynn_size_guard():

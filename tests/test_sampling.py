@@ -19,7 +19,7 @@ def make_distribution(probs, d=None):
     return OutputDistribution(
         input_state=states[0],
         states=states,
-        amplitudes=np.sqrt(probs).astype(complex),
+        amplitudes=np.sqrt(np.abs(probs)).astype(complex),
         probabilities=probs,
     )
 
@@ -59,6 +59,13 @@ def test_counts_always_sum_to_count():
 
 def test_unnormalized_distribution_rejected():
     bad = make_distribution([0.5, 0.4])  # sums to 0.9
+    with pytest.raises(ValidationError):
+        sample(bad, count=10, seed=0)
+
+
+def test_nan_distribution_rejected():
+    # a NaN sum fails every comparison, so the check must not pass it silently
+    bad = make_distribution([float("nan"), 0.25])
     with pytest.raises(ValidationError):
         sample(bad, count=10, seed=0)
 
@@ -123,3 +130,43 @@ def test_gof_bin_count_mismatch():
     run = sample(dist, count=100, seed=4)
     with pytest.raises(ValueError):
         chi_square_gof(run, other)
+
+
+def inverse_cdf_counts(dist, count, seed):
+    """Reference binning: look each draw up in the CDF; the last bin takes any draw past it."""
+    cdf = np.cumsum(dist.clamped_probabilities())
+    draws = np.random.default_rng(seed).random(count)
+    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), len(dist) - 1)
+    return np.bincount(indices, minlength=len(dist))
+
+
+class ShortDistribution(OutputDistribution):
+    """Its CDF ends at 0.9, but it reports a normalized sum, so sample() accepts it."""
+
+    def normalization(self) -> float:
+        return 1.0
+
+
+SHORT = ShortDistribution(**vars(make_distribution([0.2, 0.0, 0.4, 0.3])))
+SCALED = np.array([0.0, 0.3, 0.0, 0.0, 0.45, 0.0, 0.25, 0.0])
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        output_distribution(random_haar_unitary(6, seed=40), (1, 1, 1, 0, 0, 0)),
+        output_distribution(random_haar_unitary(4, seed=41), (0, 0, 0, 0)),  # one outcome
+        make_distribution([1.0]),
+        make_distribution(SCALED),  # zero-probability bins, first and last among them
+        make_distribution(SCALED * (1 - 5e-10)),  # CDF ends just below 1
+        make_distribution(SCALED * (1 + 5e-10)),  # CDF ends just above 1
+        make_distribution([0.5, 0.6, -0.1]),  # clamping lifts the CDF to 1.1
+        make_distribution(np.full(1000, 1e-3)),  # a long cumulative sum, off 1 by rounding
+        SHORT,  # draws past the CDF's end land in the last bin
+    ],
+)
+def test_sorted_binning_matches_inverse_cdf_lookup(dist):
+    for seed in range(40):
+        for count in (0, 1, 997):
+            run = sample(dist, count=count, seed=seed)
+            assert np.array_equal(run.counts, inverse_cdf_counts(dist, count, seed))
