@@ -41,9 +41,9 @@ from .fock import (
 )
 from .formatting import format_float
 from .permanents import (
-    PERMANENT_SIZE_LIMIT,
     _glynn,
     as_square_matrix,
+    check_permanent_size,
     expand_submatrix,
     permanent_glynn,
     submatrix_kernel,
@@ -95,8 +95,7 @@ def _check_mode_count(unitary, state: tuple[int, ...]) -> np.ndarray:
 def _check_transition(unitary, inp: tuple[int, ...], out: tuple[int, ...]) -> np.ndarray:
     """Validated matrix for a transition between two states of one network."""
     u = _check_mode_count(unitary, inp)
-    if len(out) != len(inp):
-        raise ValueError(f"input has {len(inp)} modes but output has {len(out)}")
+    _check_mode_count(u, out)
     if sum(inp) != sum(out):
         raise ValueError(
             f"particle number mismatch: input carries {sum(inp)}, output {sum(out)}"
@@ -104,18 +103,12 @@ def _check_transition(unitary, inp: tuple[int, ...], out: tuple[int, ...]) -> np
     return u
 
 
-def _check_particle_number(n: int) -> None:
-    """Refuse more particles than the permanent kernel takes, before any allocation."""
-    if n > PERMANENT_SIZE_LIMIT:
-        raise ValueError(f"{n} particles exceed the permanent size guard {PERMANENT_SIZE_LIMIT}")
-
-
 def transition_amplitude(unitary, input_state, output_state) -> TransitionAmplitude:
     """Single transition amplitude <out|U|in> between Fock states."""
     inp = validate_occupation(input_state)
     out = validate_occupation(output_state)
     u = _check_transition(unitary, inp, out)
-    _check_particle_number(sum(inp))
+    check_permanent_size(sum(inp))
     per = permanent_glynn(expand_submatrix(u, out, inp))
     norm = math.sqrt(normalization_gamma(out) * normalization_gamma(inp))
     return TransitionAmplitude(value=per / norm, input_state=inp, output_state=out)
@@ -142,7 +135,7 @@ def output_distribution(
     """Probabilities |amplitude|^2 for every n-particle output state."""
     inp = validate_occupation(input_state)
     u = _check_mode_count(unitary, inp)
-    _check_particle_number(sum(inp))
+    check_permanent_size(sum(inp))
     basis = enumerate_basis(u.shape[0], sum(inp), cap)
     amplitudes = _amplitudes(u, basis, inp)
     return OutputDistribution(
@@ -164,7 +157,7 @@ def symmetric_power_matrix(unitary, n: int, cap: int = DEFAULT_BASIS_CAP) -> np.
     """
     if n < 0:
         raise ValueError("particle number must be nonnegative")
-    _check_particle_number(n)
+    check_permanent_size(n)
     u = as_square_matrix(unitary)
     basis = enumerate_basis(u.shape[0], n, cap)
     return np.column_stack([_amplitudes(u, basis, s) for s in basis.states])

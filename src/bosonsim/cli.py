@@ -6,9 +6,11 @@ distributions, poly-time per-mode expectations, seeded sampling with a
 chi-square self-test, unitarity/symplectic checks, and Haar-random unitary
 generation.
 
-Exit codes: 0 on success, 2 on input errors (malformed files, dimension
-mismatches, cap violations, requests too large to allocate), 3 on numerical
-validation failures.
+Exit codes: 0 on success, 2 on input errors, 3 on numerical validation
+failures.  Input errors are malformed files, dimension mismatches and
+oversized requests: past the basis cap or the permanent size guard, too
+large to allocate, or with numbers past double range.  Each input is
+checked once, by the library function that uses it.
 All floating-point output uses 17 significant digits so runs are
 byte-for-byte reproducible.
 """
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from . import bosonic, fermionic, fock, sampling, transforms
 from .errors import ValidationError
@@ -27,48 +29,17 @@ from .formatting import format_complex, format_float, render_json
 from .permanents import permanent_glynn, permanent_naive
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    unitarity_tol: float = transforms.DEFAULT_UNITARITY_TOL
-    basis_cap: int = fock.DEFAULT_BASIS_CAP
-    output_format: str = "json"
-
-    def __post_init__(self):
-        # NaN fails every comparison, so it would silently disable validation
-        if not 0 < self.unitarity_tol < math.inf:
-            raise ValueError("unitarity tolerance must be positive and finite")
-        if self.basis_cap < 1:
-            raise ValueError("basis cap must be at least 1")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        unitarity_tol=getattr(args, "tol", transforms.DEFAULT_UNITARITY_TOL),
-        basis_cap=getattr(args, "cap", fock.DEFAULT_BASIS_CAP),
-        output_format=getattr(args, "format", "json"),
-    )
-
-
 def _load_matrix(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"{path}: malformed JSON ({exc})") from exc
     return transforms.matrix_from_jsonable(payload)
 
 
-def _load_unitary(path: str, config: RunConfig):
-    return transforms.validate_unitary(_load_matrix(path), tol=config.unitarity_tol)
-
-
-def _parse_state(text: str, d: int) -> tuple[int, ...]:
-    state = fock.parse_state(text)
-    if len(state) != d:
-        raise ValueError(f"state {text!r} has {len(state)} modes, matrix has {d}")
-    return state
+def _load_unitary(args):
+    return transforms.validate_unitary(_load_matrix(args.matrix), tol=args.tol)
 
 
 def cmd_permanent(args) -> int:
@@ -79,18 +50,14 @@ def cmd_permanent(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    config = _config(args)
-    basis = fock.enumerate_basis(args.d, args.n, cap=config.basis_cap)
-    for state in basis:
+    for state in fock.enumerate_basis(args.d, args.n, cap=args.cap):
         print(fock.format_state(state))
     return 0
 
 
 def cmd_amplitude(args) -> int:
-    config = _config(args)
-    u = _load_unitary(args.matrix, config)
-    inp = _parse_state(args.input_state, u.shape[0])
-    out = _parse_state(args.output_state, u.shape[0])
+    u = _load_unitary(args)
+    inp, out = fock.parse_state(args.input_state), fock.parse_state(args.output_state)
     if args.fermion:
         value = fermionic.fermion_amplitude(u, inp, out)
     else:
@@ -100,18 +67,12 @@ def cmd_amplitude(args) -> int:
     return 0
 
 
-def _compute_distribution(u, inp, fermion: bool, config: RunConfig):
-    if fermion:
-        return fermionic.fermion_distribution(u, inp, cap=config.basis_cap)
-    return bosonic.output_distribution(u, inp, cap=config.basis_cap)
-
-
 def cmd_distribution(args) -> int:
-    config = _config(args)
-    u = _load_unitary(args.matrix, config)
-    inp = _parse_state(args.input_state, u.shape[0])
-    dist = _compute_distribution(u, inp, args.fermion, config)
-    if config.output_format == "csv":
+    u = _load_unitary(args)
+    inp = fock.parse_state(args.input_state)
+    compute = fermionic.fermion_distribution if args.fermion else bosonic.output_distribution
+    dist = compute(u, inp, cap=args.cap)
+    if args.format == "csv":
         sys.stdout.write(bosonic.distribution_to_csv(dist))
     else:
         print(render_json(bosonic.distribution_to_jsonable(dist)))
@@ -119,9 +80,8 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    config = _config(args)
-    u = _load_unitary(args.matrix, config)
-    inp = _parse_state(args.input_state, u.shape[0])
+    u = _load_unitary(args)
+    inp = fock.parse_state(args.input_state)
     if args.fermion:
         values = fermionic.fermion_mode_probabilities(u, inp)
     else:
@@ -133,10 +93,9 @@ def cmd_expect(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    config = _config(args)
-    u = _load_unitary(args.matrix, config)
-    inp = _parse_state(args.input_state, u.shape[0])
-    dist = _compute_distribution(u, inp, fermion=False, config=config)
+    u = _load_unitary(args)
+    inp = fock.parse_state(args.input_state)
+    dist = bosonic.output_distribution(u, inp, cap=args.cap)
     run = sampling.sample(dist, count=args.count, seed=args.seed)
     gof = sampling.chi_square_gof(run, dist)
     expected = dist.clamped_probabilities() * run.count
@@ -162,7 +121,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _config(args)
+    transforms.check_tolerance(args.tol)  # a bad --tol fails before anything is printed
     m = _load_matrix(args.matrix)
     unitary_dev = transforms.unitarity_deviation(m)
     real = transforms.realify(m)
@@ -171,10 +130,7 @@ def cmd_check(args) -> int:
     print(f"unitarity deviation = {format_float(unitary_dev)}")
     print(f"symplectic deviation = {format_float(symp_dev)}")
     print(f"orthogonal deviation = {format_float(orth_dev)}")
-    if unitary_dev > config.unitarity_tol:
-        raise ValidationError(
-            f"unitarity deviation {unitary_dev:.3e} exceeds tolerance {config.unitarity_tol:.3e}"
-        )
+    transforms.validate_unitary(m, tol=args.tol)
     print("ok")
     return 0
 
@@ -185,20 +141,6 @@ def cmd_random_unitary(args) -> int:
     return 0
 
 
-def _add_common(sub, *, tol=False, cap=False):
-    if tol:
-        sub.add_argument(
-            "--tol",
-            type=float,
-            default=transforms.DEFAULT_UNITARITY_TOL,
-            help="unitarity tolerance (max-norm)",
-        )
-    if cap:
-        sub.add_argument(
-            "--cap", type=int, default=fock.DEFAULT_BASIS_CAP, help="basis size cap"
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosonsim",
@@ -206,52 +148,61 @@ def build_parser() -> argparse.ArgumentParser:
         "and the determinant-based fermionic counterpart.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
+        "--tol",
+        type=float,
+        default=transforms.DEFAULT_UNITARITY_TOL,
+        help="unitarity tolerance (max-norm)",
+    )
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, default=fock.DEFAULT_BASIS_CAP, help="basis size cap")
 
     p = subparsers.add_parser("permanent", help="permanent of a matrix JSON file")
     p.add_argument("matrix")
     p.add_argument("--naive", action="store_true", help="use the n! oracle kernel")
     p.set_defaults(func=cmd_permanent)
 
-    p = subparsers.add_parser("basis", help="list the canonical Fock basis")
+    p = subparsers.add_parser("basis", parents=[cap], help="list the canonical Fock basis")
     p.add_argument("--d", type=int, required=True, help="number of modes")
     p.add_argument("--n", type=int, required=True, help="number of particles")
-    _add_common(p, cap=True)
     p.set_defaults(func=cmd_basis)
 
-    p = subparsers.add_parser("amplitude", help="transition amplitude between Fock states")
+    p = subparsers.add_parser(
+        "amplitude", parents=[tol], help="transition amplitude between Fock states"
+    )
     p.add_argument("matrix")
     p.add_argument("--in", dest="input_state", required=True, metavar="R,R,...")
     p.add_argument("--out", dest="output_state", required=True, metavar="R,R,...")
     p.add_argument("--fermion", action="store_true", help="determinant amplitudes")
-    _add_common(p, tol=True)
     p.set_defaults(func=cmd_amplitude)
 
-    p = subparsers.add_parser("distribution", help="full output distribution")
+    p = subparsers.add_parser("distribution", parents=[tol, cap], help="full output distribution")
     p.add_argument("matrix")
     p.add_argument("--in", dest="input_state", required=True, metavar="R,R,...")
     p.add_argument("--fermion", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, tol=True, cap=True)
     p.set_defaults(func=cmd_distribution)
 
-    p = subparsers.add_parser("expect", help="poly-time per-mode expectations")
+    p = subparsers.add_parser("expect", parents=[tol], help="poly-time per-mode expectations")
     p.add_argument("matrix")
     p.add_argument("--in", dest="input_state", required=True, metavar="R,R,...")
     p.add_argument("--fermion", action="store_true")
-    _add_common(p, tol=True)
     p.set_defaults(func=cmd_expect)
 
-    p = subparsers.add_parser("sample", help="seeded sampling with chi-square self-test")
+    p = subparsers.add_parser(
+        "sample", parents=[tol, cap], help="seeded sampling with chi-square self-test"
+    )
     p.add_argument("matrix")
     p.add_argument("--in", dest="input_state", required=True, metavar="R,R,...")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_common(p, tol=True, cap=True)
     p.set_defaults(func=cmd_sample)
 
-    p = subparsers.add_parser("check", help="unitarity and symplectic/orthogonal report")
+    p = subparsers.add_parser(
+        "check", parents=[tol], help="unitarity and symplectic/orthogonal report"
+    )
     p.add_argument("matrix")
-    _add_common(p, tol=True)
     p.set_defaults(func=cmd_check)
 
     p = subparsers.add_parser("random-unitary", help="emit a Haar-random unitary as JSON")
@@ -263,14 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a value past double range is refused rather than printed as inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, MemoryError) as exc:
+    except MemoryError as exc:
+        # Python's own allocator raises it without a message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, OverflowError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

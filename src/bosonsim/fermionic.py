@@ -25,15 +25,13 @@ from .bosonic import (
     _check_transition,
     mean_photon_numbers,
 )
-from .fock import DEFAULT_BASIS_CAP, _occupations
+from .fock import DEFAULT_BASIS_CAP, _occupations, validate_occupation
 from .permanents import submatrix_kernel
 
 
 def validate_fermion_state(state: Sequence[int]) -> tuple[int, ...]:
-    occ = tuple(int(x) for x in state)
-    if not occ:
-        raise ValueError("fermion state must have at least one mode")
-    if any(x not in (0, 1) for x in occ):
+    occ = validate_occupation(state)
+    if any(x > 1 for x in occ):
         raise ValueError(f"fermion occupations must be 0 or 1, got {occ}")
     return occ
 

@@ -58,6 +58,12 @@ def as_square_matrix(matrix, dtype=np.complex128) -> np.ndarray:
     return a
 
 
+def check_permanent_size(n: int) -> None:
+    """Refuse a permanent of more than ``PERMANENT_SIZE_LIMIT`` rows (bosons: particles)."""
+    if n > PERMANENT_SIZE_LIMIT:
+        raise ValueError(f"n = {n} exceeds the permanent size guard n <= {PERMANENT_SIZE_LIMIT}")
+
+
 def permanent_naive(matrix) -> complex:
     """Permanent by direct enumeration of all n! permutations.
 
@@ -112,9 +118,7 @@ def permanent_glynn(matrix) -> complex:
     Guarded at n <= PERMANENT_SIZE_LIMIT (30).
     """
     a = as_square_matrix(matrix)
-    n = a.shape[0]
-    if n > PERMANENT_SIZE_LIMIT:
-        raise ValueError(f"permanent_glynn is guarded at n <= {PERMANENT_SIZE_LIMIT}, got n = {n}")
+    check_permanent_size(a.shape[0])
     return complex(_glynn(a))
 
 

@@ -31,17 +31,22 @@ def unitarity_deviation(matrix) -> float:
     return float(np.abs(a.conj().T @ a - np.eye(d)).max())
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a unitarity tolerance unless 0 < ``tol`` < inf (a NaN one would pass anything)."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"unitarity tolerance must be positive and finite, got {tol!r}")
+
+
 def validate_unitary(matrix, tol: float = DEFAULT_UNITARITY_TOL) -> np.ndarray:
     """Return the matrix as complex128 after checking unitarity.
 
-    Raises ValidationError if ||U^dag U - I||_max exceeds ``tol``, and
-    ValueError unless 0 < ``tol`` < inf (a NaN tolerance would pass anything).
+    Raises ValidationError if ||U^dag U - I||_max exceeds ``tol`` or is NaN,
+    and ValueError if ``check_tolerance`` refuses ``tol``.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"unitarity tolerance must be positive and finite, got {tol!r}")
+    check_tolerance(tol)
     a = as_square_matrix(matrix)
     dev = unitarity_deviation(a)
-    if dev > tol:
+    if not dev <= tol:  # written so that a NaN deviation fails
         raise ValidationError(f"matrix is not unitary: deviation {dev:.3e} > tol {tol:.3e}")
     return a
 

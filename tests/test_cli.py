@@ -9,7 +9,7 @@ import pytest
 
 import bosonsim
 from bosonsim import cli
-from bosonsim.cli import RunConfig, main
+from bosonsim.cli import main
 from bosonsim.formatting import render_json
 from bosonsim.sampling import chi_square_gof, sample
 from bosonsim.transforms import matrix_to_jsonable, random_haar_unitary
@@ -269,10 +269,34 @@ def test_distribution_fermion_vacuum_exits_0(u4_file, capsys):
     [
         ("sample", "U4", "--in", "1,1,0,0", "--count", "1000000000000000", "--seed", "1"),
         ("random-unitary", "--d", "100000000", "--seed", "1"),
+        ("basis", "--d", "1", "--n", "1000000000000000"),  # MemoryError() has no message
     ],
 )
 def test_out_of_memory_exits_2(u4_file, capsys, argv):
     code, out, err = run_cli(capsys, *(u4_file if a == "U4" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.strip() != "error:"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "DEEP"),  # RecursionError in json.load
+        ("basis", "--d", "1", "--n", "100000000000000000000"),  # OverflowError in itertools
+        ("expect", "U4", "--in", "1" + "0" * 309 + ",0,0,0"),  # OverflowError int -> float
+        ("check", "HUGE"),  # overflow in U^dag U
+    ],
+    ids=["deep-json", "basis-overflow", "expect-overflow", "matrix-overflow"],
+)
+def test_former_tracebacks_exit_2(tmp_path, u4_file, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(matrix_to_jsonable(np.full((2, 2), 1e200 + 1e200j))))
+    files = {"DEEP": str(deep), "HUGE": str(huge), "U4": u4_file}
+    code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -286,14 +310,48 @@ def test_non_unitary_matrix_exits_3(tmp_path, capsys):
     assert "not unitary" in err
 
 
-def test_run_config_validation():
-    for tol in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            RunConfig(unitarity_tol=tol)
-    with pytest.raises(ValueError):
-        RunConfig(basis_cap=0)
-    with pytest.raises(ValueError):
-        RunConfig(output_format="xml")
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("amplitude", "U4", "--in", "1,1,0,0", "--out", "1,1,0,0"),
+        ("distribution", "U4", "--in", "1,1,0,0"),
+        ("expect", "U4", "--in", "1,1,0,0"),
+        ("sample", "U4", "--in", "1,1,0,0", "--count", "10", "--seed", "1"),
+        ("check", "U4"),
+    ],
+    ids=["amplitude", "distribution", "expect", "sample", "check"],
+)
+def test_bad_tolerance_exits_2(u4_file, capsys, argv, tol):
+    code, out, err = run_cli(capsys, *(u4_file if a == "U4" else a for a in argv), "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--d", "2", "--n", "0"),
+        ("distribution", "U4", "--in", "0,0,0,0"),
+        ("distribution", "U4", "--in", "0,0,0,0", "--fermion"),
+        ("sample", "U4", "--in", "0,0,0,0", "--count", "10", "--seed", "1"),
+    ],
+    ids=["basis", "distribution", "fermion-distribution", "sample"],
+)
+def test_cap_below_one_exits_2(u4_file, capsys, argv, cap):
+    # one-state bases: every cap below 1 is refused by the basis size check alone
+    code, out, err = run_cli(capsys, *(u4_file if a == "U4" else a for a in argv), "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unknown_format_is_a_usage_error(u4_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["distribution", u4_file, "--in", "1,1,0,0", "--format", "xml"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -354,7 +412,7 @@ def test_sample_payload_matches_render_json(
 ):
     path = tmp_path / "u.json"
     path.write_text(json.dumps(matrix_to_jsonable(matrix)))
-    compute = cli._compute_distribution
+    compute = cli.bosonic.output_distribution
     used = []
 
     def compute_and_keep(*args, **kwargs):
@@ -366,7 +424,7 @@ def test_sample_payload_matches_render_json(
         used.append(dist)
         return dist
 
-    monkeypatch.setattr(cli, "_compute_distribution", compute_and_keep)
+    monkeypatch.setattr(cli.bosonic, "output_distribution", compute_and_keep)
     state = ",".join(map(str, inp))
     code, out, err = run_cli(
         capsys, "sample", str(path), "--in", state, "--count", str(count), "--seed", "42"

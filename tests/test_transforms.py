@@ -33,6 +33,15 @@ def test_validate_rejects_scaled_column():
         validate_unitary(np.diag([1.0, 2.0]))
 
 
+def test_validate_rejects_nan_deviation():
+    # U^dag U overflows to inf and inf * 0 = nan; a NaN deviation must not pass
+    huge = np.full((2, 2), 1e200 + 1e200j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(unitarity_deviation(huge))
+        with pytest.raises(ValidationError):
+            validate_unitary(huge)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_validate_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
