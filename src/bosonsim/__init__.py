@@ -9,7 +9,6 @@ is something you can run and test rather than just cite.
 
 from .bosonic import (
     OutputDistribution,
-    TransitionAmplitude,
     distribution_to_csv,
     distribution_to_jsonable,
     mean_photon_numbers,
@@ -28,7 +27,6 @@ from .fermionic import (
 )
 from .fock import (
     DEFAULT_BASIS_CAP,
-    FockBasis,
     basis_size,
     enumerate_basis,
     format_state,
@@ -37,11 +35,7 @@ from .fock import (
     parse_state,
     sequence_to_occupation,
 )
-from .permanents import (
-    expand_submatrix,
-    permanent_glynn,
-    permanent_naive,
-)
+from .permanents import permanent_glynn, permanent_naive
 from .sampling import ChiSquareResult, SampleRun, chi_square_gof, sample
 from .transforms import (
     check_orthogonal,
@@ -58,10 +52,8 @@ from .transforms import (
 __all__ = [
     "ChiSquareResult",
     "DEFAULT_BASIS_CAP",
-    "FockBasis",
     "OutputDistribution",
     "SampleRun",
-    "TransitionAmplitude",
     "ValidationError",
     "basis_size",
     "check_orthogonal",
@@ -71,7 +63,6 @@ __all__ = [
     "distribution_to_jsonable",
     "enumerate_basis",
     "enumerate_fermion_basis",
-    "expand_submatrix",
     "fermion_amplitude",
     "fermion_basis_size",
     "fermion_distribution",

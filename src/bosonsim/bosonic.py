@@ -9,7 +9,14 @@ where U[out, in] repeats row k of U r_out[k] times and column j r_in[j]
 times, and Gamma is the product of occupation factorials.  Collecting the
 amplitudes over the whole n-particle basis yields the symmetric-power
 matrix of U -- a unitary of dimension C(d+n-1, n) whose construction costs
-one permanent per entry, evaluated in stacked blocks of outcomes.
+one permanent per entry.
+
+One private builder, ``_amplitude_matrix``, makes every amplitude, boson or
+fermion: one outcome or a whole basis, from one input or many.  It evaluates
+the submatrices in stacked blocks of outcomes (``permanents.submatrix_kernel``)
+and divides by sqrt(Gamma_in * Gamma_out), an exact integer rounded once, so
+``transition_amplitude``, ``output_distribution`` and
+``symmetric_power_matrix`` agree to the last bit.
 
 ``mean_photon_numbers`` is the contrasting observable: per-mode expected
 occupations after the network, computable in O(d^2) with no permanent at
@@ -28,37 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 
 import numpy as np
 
-from .fock import (
-    DEFAULT_BASIS_CAP,
-    FockBasis,
-    enumerate_basis,
-    normalization_gamma,
-    validate_occupation,
-)
+from .fock import DEFAULT_BASIS_CAP, enumerate_basis, validate_occupation
 from .formatting import format_float
-from .permanents import (
-    _glynn,
-    as_square_matrix,
-    check_permanent_size,
-    expand_submatrix,
-    permanent_glynn,
-    submatrix_kernel,
-)
-
-
-@dataclass(frozen=True)
-class TransitionAmplitude:
-    value: complex
-    input_state: tuple[int, ...]
-    output_state: tuple[int, ...]
-
-    @property
-    def probability(self) -> float:
-        return abs(self.value) ** 2
+from .permanents import _glynn, as_square_matrix, check_permanent_size, submatrix_kernel
 
 
 @dataclass(frozen=True)
@@ -103,30 +86,45 @@ def _check_transition(unitary, inp: tuple[int, ...], out: tuple[int, ...]) -> np
     return u
 
 
-def transition_amplitude(unitary, input_state, output_state) -> TransitionAmplitude:
+def _amplitude_matrix(u: np.ndarray, outcomes, inputs, kernel) -> np.ndarray:
+    """Amplitudes <out|U|in>, one row per outcome and one column per input state.
+
+    ``kernel`` is ``_glynn`` for bosons and ``numpy.linalg.det`` for fermions.
+    Outcome k's submatrix repeats row j of U outcomes[k][j] times, in ascending
+    mode order, over the input's repeated columns, and ``submatrix_kernel``
+    evaluates the submatrices of all outcomes in blocks.  Each amplitude is
+    divided by sqrt(Gamma_in * Gamma_out), the exact product of factorials
+    rounded once.
+    """
+    d, n, k = u.shape[0], sum(inputs[0]), len(outcomes)
+    # one byte per occupation (at most n <= PERMANENT_SIZE_LIMIT for bosons, 1 for fermions)
+    # and the narrowest mode index keep these temporaries, and the CLI's peak RSS, small
+    occupations = np.frombuffer(bytes(chain.from_iterable(outcomes)), dtype=np.uint8)
+    modes = np.arange(d, dtype=np.min_scalar_type(d - 1))
+    rows = np.repeat(np.tile(modes, k), occupations).reshape(k, n)
+    factorial = [math.factorial(r) for r in range(n + 1)]
+    bunched = np.flatnonzero((occupations.reshape(k, d) > 1).any(axis=1))
+    gamma_out = [math.prod(map(factorial.__getitem__, outcomes[i])) for i in bunched]
+    amplitudes = np.empty((k, len(inputs)), dtype=np.complex128)
+    for j, inp in enumerate(inputs):
+        column = submatrix_kernel(kernel, u[:, np.repeat(np.arange(d), inp)], rows)
+        gamma_in = math.prod(map(factorial.__getitem__, inp))
+        norm = np.full(k, math.sqrt(gamma_in))  # Gamma_out = 1 where no mode is bunched
+        exact = (gamma_in * g for g in gamma_out)
+        norm[bunched] = np.sqrt(np.fromiter(exact, float, count=len(gamma_out)))
+        # part by part, bit for bit as Python's complex / float (numpy's complex division is not)
+        amplitudes[:, j].real = column.real / norm
+        amplitudes[:, j].imag = column.imag / norm
+    return amplitudes
+
+
+def transition_amplitude(unitary, input_state, output_state) -> complex:
     """Single transition amplitude <out|U|in> between Fock states."""
     inp = validate_occupation(input_state)
     out = validate_occupation(output_state)
     u = _check_transition(unitary, inp, out)
     check_permanent_size(sum(inp))
-    per = permanent_glynn(expand_submatrix(u, out, inp))
-    norm = math.sqrt(normalization_gamma(out) * normalization_gamma(inp))
-    return TransitionAmplitude(value=per / norm, input_state=inp, output_state=out)
-
-
-def _amplitudes(u: np.ndarray, basis: FockBasis, inp: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes from ``inp`` to each state of ``basis``, one Glynn walk per block."""
-    d, n, k = basis.d, basis.n, len(basis)
-    # ascending mode sequences: the canonical order of basis.states
-    sequences = chain.from_iterable(combinations_with_replacement(range(d), n))
-    rows = np.fromiter(sequences, dtype=np.intp, count=k * n).reshape(k, n)
-    amplitudes = submatrix_kernel(_glynn, u[:, np.repeat(np.arange(d), inp)], rows)
-    gamma_out = np.fromiter(map(normalization_gamma, basis.states), dtype=float, count=k)
-    norm = math.sqrt(normalization_gamma(inp)) * np.sqrt(gamma_out)
-    # part by part, bit for bit as Python's complex / float (numpy's complex division is not)
-    amplitudes.real /= norm
-    amplitudes.imag /= norm
-    return amplitudes
+    return complex(_amplitude_matrix(u, (out,), (inp,), _glynn)[0, 0])
 
 
 def output_distribution(
@@ -136,11 +134,11 @@ def output_distribution(
     inp = validate_occupation(input_state)
     u = _check_mode_count(unitary, inp)
     check_permanent_size(sum(inp))
-    basis = enumerate_basis(u.shape[0], sum(inp), cap)
-    amplitudes = _amplitudes(u, basis, inp)
+    states = enumerate_basis(u.shape[0], sum(inp), cap)
+    amplitudes = _amplitude_matrix(u, states, (inp,), _glynn)[:, 0]
     return OutputDistribution(
         input_state=inp,
-        states=basis.states,
+        states=states,
         amplitudes=amplitudes,
         probabilities=np.abs(amplitudes) ** 2,
     )
@@ -159,8 +157,8 @@ def symmetric_power_matrix(unitary, n: int, cap: int = DEFAULT_BASIS_CAP) -> np.
         raise ValueError("particle number must be nonnegative")
     check_permanent_size(n)
     u = as_square_matrix(unitary)
-    basis = enumerate_basis(u.shape[0], n, cap)
-    return np.column_stack([_amplitudes(u, basis, s) for s in basis.states])
+    states = enumerate_basis(u.shape[0], n, cap)
+    return _amplitude_matrix(u, states, states, _glynn)
 
 
 def mean_photon_numbers(unitary, input_state) -> np.ndarray:

@@ -61,7 +61,7 @@ def cmd_amplitude(args) -> int:
     if args.fermion:
         value = fermionic.fermion_amplitude(u, inp, out)
     else:
-        value = bosonic.transition_amplitude(u, inp, out).value
+        value = bosonic.transition_amplitude(u, inp, out)
     print(f"amplitude = {format_complex(value)}")
     print(f"probability = {format_float(abs(value) ** 2)}")
     return 0

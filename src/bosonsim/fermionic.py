@@ -5,7 +5,9 @@ is a 0/1 vector with n ones.  Under the same d x d unitary that drives the
 bosonic case, the transition amplitude is the *determinant* of the n x n
 submatrix of U picked out by the occupied output rows and occupied input
 columns (both ascending) -- polynomial cost where the boson needs a
-permanent.  No Gamma factor appears since every occupation is 0 or 1.
+permanent.  The boson amplitude builder makes these amplitudes too, with the
+determinant as its kernel; its Gamma factor is 1 since every occupation is 0
+or 1.
 
 Ascending mode order fixes the Jordan-Wigner signs consistently; swapping
 two rows of the submatrix flips the amplitude sign but never a probability.
@@ -14,19 +16,19 @@ two rows of the submatrix flips the amplitude sign but never a probability.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .bosonic import (
     OutputDistribution,
+    _amplitude_matrix,
     _check_mode_count,
     _check_transition,
     mean_photon_numbers,
 )
 from .fock import DEFAULT_BASIS_CAP, _occupations, validate_occupation
-from .permanents import submatrix_kernel
 
 
 def validate_fermion_state(state: Sequence[int]) -> tuple[int, ...]:
@@ -60,18 +62,12 @@ def enumerate_fermion_basis(
     return tuple(_occupations(d, combinations(range(d), n)))
 
 
-def occupied_modes(state: Sequence[int]) -> np.ndarray:
-    """Ascending 0-based indices of the occupied modes."""
-    return np.flatnonzero(np.asarray(state, dtype=int))
-
-
 def fermion_amplitude(unitary, input_state, output_state) -> complex:
     """Amplitude <out|U|in>: determinant of the occupied-mode submatrix."""
     inp = validate_fermion_state(input_state)
     out = validate_fermion_state(output_state)
     u = _check_transition(unitary, inp, out)
-    sub = u[np.ix_(occupied_modes(out), occupied_modes(inp))]
-    return complex(np.linalg.det(sub))
+    return complex(_amplitude_matrix(u, (out,), (inp,), np.linalg.det)[0, 0])
 
 
 def fermion_distribution(
@@ -80,12 +76,8 @@ def fermion_distribution(
     """Probabilities |det|^2 over all C(d, n) fermionic outcomes."""
     inp = validate_fermion_state(input_state)
     u = _check_mode_count(unitary, inp)
-    d, n = u.shape[0], sum(inp)
-    states = enumerate_fermion_basis(d, n, cap)
-    # the occupied modes of each outcome, in the canonical order of ``states``
-    occupied = chain.from_iterable(combinations(range(d), n))
-    rows = np.fromiter(occupied, dtype=np.intp, count=len(states) * n).reshape(len(states), n)
-    amplitudes = submatrix_kernel(np.linalg.det, u[:, occupied_modes(inp)], rows)
+    states = enumerate_fermion_basis(u.shape[0], sum(inp), cap)
+    amplitudes = _amplitude_matrix(u, states, (inp,), np.linalg.det)[:, 0]
     return OutputDistribution(
         input_state=inp,
         states=states,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
@@ -41,52 +40,28 @@ def _occupations(d: int, sequences: Iterable[Sequence[int]]) -> Iterator[tuple[i
         yield tuple(occ)
 
 
-@dataclass(frozen=True)
-class FockBasis:
-    """The complete, canonically ordered n-particle basis for d modes."""
+def enumerate_basis(
+    d: int, n: int, cap: int = DEFAULT_BASIS_CAP
+) -> tuple[tuple[int, ...], ...]:
+    """All occupation vectors with sum n over d modes, in canonical order.
 
-    d: int
-    n: int
-    states: tuple[tuple[int, ...], ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.states)
-
-    def state_at(self, i: int) -> tuple[int, ...]:
-        return self.states[i]
-
-    def index_of(self, occupation: Sequence[int]) -> int:
-        """Position of an occupation vector in the canonical order."""
-        key = tuple(int(r) for r in occupation)
-        if len(key) != self.d or any(r < 0 for r in key) or sum(key) != self.n:
-            raise ValueError(
-                f"state {key} does not belong to the (d={self.d}, n={self.n}) basis"
-            )
-        if not self._index:
-            self._index.update({s: i for i, s in enumerate(self.states)})
-        return self._index[key]
-
-
-def enumerate_basis(d: int, n: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
-    """Enumerate all occupation vectors with sum n over d modes.
-
-    The result is duplicate-free and canonically ordered; its size
-    C(d+n-1, n) is checked against ``cap`` before anything is built.
+    The result is duplicate-free; its size C(d+n-1, n) is checked against
+    ``cap`` before anything is built.  ``basis.index(state)`` is a state's
+    position.
     """
     size = basis_size(d, n)
     if size > cap:
         raise ValueError(f"basis size C({d + n - 1},{n}) = {size} exceeds cap {cap}")
     # ascending mode sequences are the canonical order
     sequences = combinations_with_replacement(range(d), n)
-    return FockBasis(d=d, n=n, states=tuple(_occupations(d, sequences)))
+    return tuple(_occupations(d, sequences))
 
 
 def validate_occupation(occupation: Sequence[int]) -> tuple[int, ...]:
-    occ = tuple(int(r) for r in occupation)
+    raw = tuple(occupation)
+    occ = tuple(map(int, raw))
+    if occ != raw:  # int() would truncate 2.7 to 2
+        raise ValueError(f"occupation numbers must be integers, got {raw}")
     if not occ:
         raise ValueError("occupation vector must have at least one mode")
     if any(r < 0 for r in occ):

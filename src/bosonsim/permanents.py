@@ -14,13 +14,14 @@ algorithm for it.  Two kernels are provided:
   2^(n-1) sign vectors, O(2^(n-1) * n); the production kernel.  Its walk,
   ``_glynn``, takes a ``(..., n, n)`` stack as well as one matrix.
 
-``submatrix_kernel`` builds every full distribution: it stacks the outcome
-submatrices ``OUTCOME_BLOCK`` = 512 at a time and makes one kernel call per
-block, ``_glynn`` for bosons and ``numpy.linalg.det`` for fermions.  Blocks
-bound the stack (a whole C(22,11)-outcome one takes 1.4 GB), and blocks of 512
-keep peak RSS where one outcome at a time kept it: freeing a stack of several
-MB raises glibc's mmap threshold, and later allocations then stay in RSS.
-``expand_submatrix`` builds one repeated-row/column submatrix.
+``submatrix_kernel`` evaluates the submatrices of every amplitude, one
+outcome or a whole distribution's, for the one amplitude builder in
+``bosonic``: it stacks them ``OUTCOME_BLOCK`` = 512 at a time and makes one
+kernel call per block, ``_glynn`` for bosons and ``numpy.linalg.det`` for
+fermions.  Blocks bound the stack (a whole C(22,11)-outcome one takes 1.4 GB),
+and blocks of 512 keep peak RSS where one outcome at a time kept it: freeing a
+stack of several MB raises glibc's mmap threshold, and later allocations then
+stay in RSS.
 
 All accumulation is in double precision.  On Haar submatrices, with distinct
 and with pairwise-repeated rows (3 of each per size), the measured relative
@@ -34,7 +35,6 @@ Ryser kernel on the same matrices was off by up to 7.8e-12 at n = 14 and
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
 
 import numpy as np
 
@@ -127,31 +127,3 @@ def submatrix_kernel(kernel, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     blocks = range(0, len(rows), OUTCOME_BLOCK)
     return np.concatenate([kernel(cols[rows[lo : lo + OUTCOME_BLOCK]]) for lo in blocks])
 
-
-def expand_submatrix(
-    matrix,
-    row_multiplicities: Sequence[int],
-    col_multiplicities: Sequence[int],
-) -> np.ndarray:
-    """Square submatrix with rows/columns repeated by multiplicity.
-
-    Row k of ``matrix`` is emitted ``row_multiplicities[k]`` times, rows in
-    ascending source order, columns likewise.  Multiplicity totals must
-    agree so the result is square.
-    """
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    rows = np.asarray(row_multiplicities, dtype=int)
-    cols = np.asarray(col_multiplicities, dtype=int)
-    if rows.shape != (a.shape[0],) or cols.shape != (a.shape[1],):
-        raise ValueError(f"multiplicity lengths do not match matrix shape {a.shape}")
-    if (rows < 0).any() or (cols < 0).any():
-        raise ValueError("multiplicities must be nonnegative")
-    if rows.sum() != cols.sum():
-        raise ValueError(
-            f"row multiplicities sum to {rows.sum()} but column multiplicities to {cols.sum()}"
-        )
-    row_idx = np.repeat(np.arange(a.shape[0]), rows)
-    col_idx = np.repeat(np.arange(a.shape[1]), cols)
-    return a[np.ix_(row_idx, col_idx)]

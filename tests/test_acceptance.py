@@ -63,9 +63,9 @@ def test_criterion_1_permanent_oracle_equivalence():
 
 
 def test_criterion_2_hong_ou_mandel_dichotomy():
-    p_1_1 = transition_amplitude(BEAMSPLITTER, (1, 1), (1, 1)).probability
-    p_2_0 = transition_amplitude(BEAMSPLITTER, (1, 1), (2, 0)).probability
-    p_0_2 = transition_amplitude(BEAMSPLITTER, (1, 1), (0, 2)).probability
+    p_1_1 = abs(transition_amplitude(BEAMSPLITTER, (1, 1), (1, 1))) ** 2
+    p_2_0 = abs(transition_amplitude(BEAMSPLITTER, (1, 1), (2, 0))) ** 2
+    p_0_2 = abs(transition_amplitude(BEAMSPLITTER, (1, 1), (0, 2))) ** 2
     p_fermi = abs(fermion_amplitude(BEAMSPLITTER, (1, 1), (1, 1))) ** 2
     ok = (
         p_1_1 <= 1e-12

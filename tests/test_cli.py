@@ -262,6 +262,17 @@ def test_distribution_fermion_vacuum_exits_0(u4_file, capsys):
     ]
 
 
+def test_distribution_single_mode_identity_is_exactly_one(tmp_path, capsys):
+    # sqrt(Gamma_in * Gamma_out) = sqrt(36) = 6 exactly, where sqrt(6) * sqrt(6) is not
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(matrix_to_jsonable(np.eye(1))))
+    code, out, err = run_cli(capsys, "distribution", str(path), "--in", "3")
+    assert code == 0, err
+    assert out == (
+        '{"input": [3], "outcomes": [{"state": [3], "probability": 1, "amplitude": [1, 0]}]}\n'
+    )
+
+
 # each asks for more than 128 TiB, beyond any user address space, so the
 # allocation fails at once whatever the kernel's overcommit mode
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bosonsim.bosonic import mean_photon_numbers, output_distribution, transition_amplitude
+from bosonsim.fermionic import fermion_distribution
 from bosonsim.fock import (
-    FockBasis,
     basis_size,
     enumerate_basis,
     format_state,
@@ -17,7 +18,7 @@ from bosonsim.fock import (
 
 def test_basis_d2_n2_exact():
     basis = enumerate_basis(2, 2)
-    assert basis.states == ((2, 0), (1, 1), (0, 2))
+    assert basis == ((2, 0), (1, 1), (0, 2))
     assert len(basis) == 3
 
 
@@ -27,12 +28,12 @@ def test_basis_d3_n2_size():
 
 def test_basis_single_particle_matches_mode_basis():
     basis = enumerate_basis(4, 1)
-    assert basis.states == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_basis_vacuum():
     basis = enumerate_basis(3, 0)
-    assert basis.states == ((0, 0, 0),)
+    assert basis == ((0, 0, 0),)
 
 
 def test_basis_sizes_match_binomial():
@@ -40,16 +41,16 @@ def test_basis_sizes_match_binomial():
         for n in range(0, 7):
             basis = enumerate_basis(d, n)
             assert len(basis) == math.comb(d + n - 1, n)
-            assert len(set(basis.states)) == len(basis)  # duplicate-free
+            assert len(set(basis)) == len(basis)  # duplicate-free
 
 
 def test_canonical_order_endpoints_and_monotonicity():
     for d, n in ((3, 3), (4, 2), (5, 4)):
         basis = enumerate_basis(d, n)
-        assert basis.states[0] == (n,) + (0,) * (d - 1)
-        assert basis.states[-1] == (0,) * (d - 1) + (n,)
+        assert basis[0] == (n,) + (0,) * (d - 1)
+        assert basis[-1] == (0,) * (d - 1) + (n,)
         # lexicographically decreasing occupations == ascending mode sequences
-        for a, b in zip(basis.states, basis.states[1:]):
+        for a, b in zip(basis, basis[1:]):
             assert a > b
             assert occupation_to_sequence(a) < occupation_to_sequence(b)
 
@@ -136,15 +137,49 @@ def test_gamma_rejects_negative():
         normalization_gamma((1, -1))
 
 
+@pytest.mark.parametrize("occ", [(2.7, 0), (0.5, 1.5), (1, 0.9999)])
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda occ: output_distribution(np.eye(2), occ),
+        lambda occ: transition_amplitude(np.eye(2), occ, (1, 1)),
+        lambda occ: mean_photon_numbers(np.eye(2), occ),
+        lambda occ: fermion_distribution(np.eye(2), occ),
+        normalization_gamma,
+        format_state,
+    ],
+    ids=[
+        "output_distribution",
+        "transition_amplitude",
+        "mean_photon_numbers",
+        "fermion_distribution",
+        "normalization_gamma",
+        "format_state",
+    ],
+)
+def test_non_integer_occupations_rejected(entry_point, occ):
+    # int() would truncate them: (2.7, 0) silently became (2, 0)
+    with pytest.raises(ValueError, match="integers"):
+        entry_point(occ)
+
+
+def test_integral_floats_and_numpy_integers_accepted():
+    assert normalization_gamma(np.array([2.0, 1.0])) == 2
+    assert format_state(np.array([1, 0, 2], dtype=np.int64)) == "|1,0,2⟩"
+    dist = output_distribution(np.eye(2), np.array([1.0, 1.0]))
+    assert dist.input_state == (1, 1)
+    assert all(type(r) is int for r in dist.input_state)
+
+
 def test_index_of_first_state():
     basis = enumerate_basis(2, 2)
-    assert basis.index_of((2, 0)) == 0
+    assert basis.index((2, 0)) == 0
 
 
 def test_index_roundtrip():
     basis = enumerate_basis(3, 3)
     for i in range(len(basis)):
-        assert basis.index_of(basis.state_at(i)) == i
+        assert basis.index(basis[i]) == i
 
 
 def test_index_of_last_state():
@@ -152,23 +187,23 @@ def test_index_of_last_state():
     for d, n in ((3, 2), (4, 3), (5, 2)):
         basis = enumerate_basis(d, n)
         last = (0,) * (d - 1) + (n,)
-        assert basis.index_of(last) == math.comb(d + n - 1, n) - 1
+        assert basis.index(last) == math.comb(d + n - 1, n) - 1
 
 
 def test_index_of_rejects_foreign_states():
     basis = enumerate_basis(3, 2)
     with pytest.raises(ValueError):
-        basis.index_of((1, 1, 1))  # wrong particle number
+        basis.index((1, 1, 1))  # wrong particle number
     with pytest.raises(ValueError):
-        basis.index_of((2, 0))  # wrong dimension
+        basis.index((2, 0))  # wrong dimension
 
 
 def test_basis_is_iterable_and_immutable():
     basis = enumerate_basis(2, 1)
     assert list(basis) == [(1, 0), (0, 1)]
-    assert isinstance(basis, FockBasis)
-    with pytest.raises(AttributeError):
-        basis.d = 5
+    assert isinstance(basis, tuple)
+    with pytest.raises(TypeError):
+        basis[0] = (0, 1)
 
 
 def test_format_state():

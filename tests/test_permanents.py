@@ -4,12 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from bosonsim.bosonic import transition_amplitude
 from bosonsim.fermionic import fermion_amplitude
 from bosonsim.permanents import (
     NAIVE_SIZE_LIMIT,
     PERMANENT_SIZE_LIMIT,
     _glynn,
-    expand_submatrix,
     permanent_glynn,
     permanent_naive,
 )
@@ -285,40 +285,38 @@ def test_determinant_sign_under_row_swap():
 
 
 # ---------------------------------------------------------------------------
-# expand_submatrix
+# the repetition rule: row k of U appears r_out[k] times, column j r_in[j] times
 # ---------------------------------------------------------------------------
 
 def test_expand_identity_multiplicities():
     m = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.array_equal(expand_submatrix(m, (1, 1), (1, 1)), m)
+    assert np.isclose(transition_amplitude(m, (1, 1), (1, 1)), permanent_naive(m))
 
 
 def test_expand_repeated_row():
     m = np.array([[1, 2], [3, 4]], dtype=complex)
-    out = expand_submatrix(m, (2, 0), (1, 1))
-    assert np.array_equal(out, np.array([[1, 2], [1, 2]], dtype=complex))
+    sub = np.array([[1, 2], [1, 2]], dtype=complex)
+    amplitude = transition_amplitude(m, (1, 1), (2, 0))
+    assert np.isclose(amplitude, permanent_naive(sub) / math.sqrt(2))
 
 
 def test_expand_3x3_mixed():
     m = np.arange(9, dtype=complex).reshape(3, 3)
-    out = expand_submatrix(m, (1, 0, 1), (0, 2, 0))
-    expected = np.array([[m[0, 1], m[0, 1]], [m[2, 1], m[2, 1]]])
-    assert np.array_equal(out, expected)
+    sub = np.array([[m[0, 1], m[0, 1]], [m[2, 1], m[2, 1]]])
+    amplitude = transition_amplitude(m, (0, 2, 0), (1, 0, 1))
+    assert np.isclose(amplitude, permanent_naive(sub) / math.sqrt(2))
 
 
 def test_expand_rejects_mismatched_lengths():
-    m = np.eye(2)
     with pytest.raises(ValueError):
-        expand_submatrix(m, (1, 1, 0), (1, 1))
+        transition_amplitude(np.eye(2), (1, 1), (1, 1, 0))
 
 
 def test_expand_rejects_unequal_totals():
-    m = np.eye(2)
     with pytest.raises(ValueError):
-        expand_submatrix(m, (2, 0), (1, 2))
+        transition_amplitude(np.eye(2), (1, 2), (2, 0))
 
 
 def test_expand_rejects_negative_multiplicity():
-    m = np.eye(2)
     with pytest.raises(ValueError):
-        expand_submatrix(m, (-1, 3), (1, 1))
+        transition_amplitude(np.eye(2), (1, 1), (-1, 3))
