@@ -23,7 +23,6 @@ from .fermionic import (
     fermion_basis_size,
     fermion_distribution,
     fermion_mode_probabilities,
-    fermion_mode_probability,
 )
 from .fock import (
     DEFAULT_BASIS_CAP,
@@ -36,7 +35,7 @@ from .fock import (
     sequence_to_occupation,
 )
 from .permanents import permanent_glynn, permanent_naive
-from .sampling import ChiSquareResult, SampleRun, chi_square_gof, sample
+from .sampling import ChiSquareResult, chi_square_gof, sample
 from .transforms import (
     check_orthogonal,
     check_symplectic,
@@ -53,7 +52,6 @@ __all__ = [
     "ChiSquareResult",
     "DEFAULT_BASIS_CAP",
     "OutputDistribution",
-    "SampleRun",
     "ValidationError",
     "basis_size",
     "check_orthogonal",
@@ -67,7 +65,6 @@ __all__ = [
     "fermion_basis_size",
     "fermion_distribution",
     "fermion_mode_probabilities",
-    "fermion_mode_probability",
     "format_state",
     "matrix_from_jsonable",
     "matrix_to_jsonable",

@@ -16,7 +16,9 @@ fermion: one outcome or a whole basis, from one input or many.  It evaluates
 the submatrices in stacked blocks of outcomes (``permanents.submatrix_kernel``)
 and divides by sqrt(Gamma_in * Gamma_out), an exact integer rounded once, so
 ``transition_amplitude``, ``output_distribution`` and
-``symmetric_power_matrix`` agree to the last bit.
+``symmetric_power_matrix`` agree to the last bit.  One private routine,
+``_distribution``, makes the boson and the fermion distribution alike; the
+two differ only in their occupation check, their basis and their kernel.
 
 ``mean_photon_numbers`` is the contrasting observable: per-mode expected
 occupations after the network, computable in O(d^2) with no permanent at
@@ -118,6 +120,12 @@ def _amplitude_matrix(u: np.ndarray, outcomes, inputs, kernel) -> np.ndarray:
     return amplitudes
 
 
+def _distribution(u: np.ndarray, inp: tuple[int, ...], states, kernel) -> OutputDistribution:
+    """The distribution over ``states`` from ``inp``; ``kernel`` picks the statistics."""
+    amplitudes = _amplitude_matrix(u, states, (inp,), kernel)[:, 0]
+    return OutputDistribution(inp, states, amplitudes, np.abs(amplitudes) ** 2)
+
+
 def transition_amplitude(unitary, input_state, output_state) -> complex:
     """Single transition amplitude <out|U|in> between Fock states."""
     inp = validate_occupation(input_state)
@@ -135,13 +143,7 @@ def output_distribution(
     u = _check_mode_count(unitary, inp)
     check_permanent_size(sum(inp))
     states = enumerate_basis(u.shape[0], sum(inp), cap)
-    amplitudes = _amplitude_matrix(u, states, (inp,), _glynn)[:, 0]
-    return OutputDistribution(
-        input_state=inp,
-        states=states,
-        amplitudes=amplitudes,
-        probabilities=np.abs(amplitudes) ** 2,
-    )
+    return _distribution(u, inp, states, _glynn)
 
 
 def symmetric_power_matrix(unitary, n: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:

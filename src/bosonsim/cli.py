@@ -96,14 +96,14 @@ def cmd_sample(args) -> int:
     u = _load_unitary(args)
     inp = fock.parse_state(args.input_state)
     dist = bosonic.output_distribution(u, inp, cap=args.cap)
-    run = sampling.sample(dist, count=args.count, seed=args.seed)
-    gof = sampling.chi_square_gof(run, dist)
-    expected = dist.clamped_probabilities() * run.count
+    counts = sampling.sample(dist, count=args.count, seed=args.seed)
+    gof = sampling.chi_square_gof(counts, dist)
+    expected = dist.clamped_probabilities() * args.count
     # one template per outcome; + 0.0 prints -0.0 as 0, as format_float does
     records = ", ".join(
         f'{{"state": [{", ".join(map(str, state))}], "observed": {observed}, '
         f'"expected": {value + 0.0:.17g}}}'
-        for state, observed, value in zip(dist.states, run.counts.tolist(), expected.tolist())
+        for state, observed, value in zip(dist.states, counts.tolist(), expected.tolist())
     )
     chi_square = render_json(
         {
@@ -114,7 +114,7 @@ def cmd_sample(args) -> int:
         }
     )
     print(
-        f'{{"input": {render_json(inp)}, "seed": {run.seed}, "count": {run.count}, '
+        f'{{"input": {render_json(inp)}, "seed": {args.seed}, "count": {args.count}, '
         f'"counts": [{records}], "chi_square": {chi_square}}}'
     )
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,9 +26,10 @@ from .bosonic import (
     _amplitude_matrix,
     _check_mode_count,
     _check_transition,
+    _distribution,
     mean_photon_numbers,
 )
-from .fock import DEFAULT_BASIS_CAP, _occupations, validate_occupation
+from .fock import DEFAULT_BASIS_CAP, validate_occupation
 
 
 def validate_fermion_state(state: Sequence[int]) -> tuple[int, ...]:
@@ -45,6 +46,15 @@ def fermion_basis_size(d: int, n: int) -> int:
     if n < 0 or n > d:
         raise ValueError(f"cannot place {n} fermions in {d} modes")
     return math.comb(d, n)
+
+
+def _occupations(d: int, sequences: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    # count the 0-based modes of each sequence into an occupation vector
+    for sequence in sequences:
+        occ = [0] * d
+        for k in sequence:
+            occ[k] += 1
+        yield tuple(occ)
 
 
 def enumerate_fermion_basis(
@@ -77,21 +87,7 @@ def fermion_distribution(
     inp = validate_fermion_state(input_state)
     u = _check_mode_count(unitary, inp)
     states = enumerate_fermion_basis(u.shape[0], sum(inp), cap)
-    amplitudes = _amplitude_matrix(u, states, (inp,), np.linalg.det)[:, 0]
-    return OutputDistribution(
-        input_state=inp,
-        states=states,
-        amplitudes=amplitudes,
-        probabilities=np.abs(amplitudes) ** 2,
-    )
-
-
-def fermion_mode_probability(unitary, input_state, mode: int) -> float:
-    """Probability of finding a fermion in ``mode`` (0-based) after U."""
-    probs = fermion_mode_probabilities(unitary, input_state)
-    if not 0 <= mode < len(probs):
-        raise ValueError(f"mode index {mode} out of range 0..{len(probs) - 1}")
-    return float(probs[mode])
+    return _distribution(u, inp, states, np.linalg.det)
 
 
 def fermion_mode_probabilities(unitary, input_state) -> np.ndarray:

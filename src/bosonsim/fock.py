@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import re
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from operator import sub
+from typing import Sequence
 
 #: default limit on the number of basis states materialized at once
 DEFAULT_BASIS_CAP = 10**6
@@ -31,15 +32,6 @@ def basis_size(d: int, n: int) -> int:
     return math.comb(d + n - 1, n)
 
 
-def _occupations(d: int, sequences: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    # count the 0-based modes of each sequence into an occupation vector
-    for sequence in sequences:
-        occ = [0] * d
-        for k in sequence:
-            occ[k] += 1
-        yield tuple(occ)
-
-
 def enumerate_basis(
     d: int, n: int, cap: int = DEFAULT_BASIS_CAP
 ) -> tuple[tuple[int, ...], ...]:
@@ -47,14 +39,16 @@ def enumerate_basis(
 
     The result is duplicate-free; its size C(d+n-1, n) is checked against
     ``cap`` before anything is built.  ``basis.index(state)`` is a state's
-    position.
+    position.  Building it costs O(K*d) for K states.
     """
     size = basis_size(d, n)
     if size > cap:
         raise ValueError(f"basis size C({d + n - 1},{n}) = {size} exceeds cap {cap}")
-    # ascending mode sequences are the canonical order
-    sequences = combinations_with_replacement(range(d), n)
-    return tuple(_occupations(d, sequences))
+    # the prefix sums r_0, r_0 + r_1, ... of every state, in ascending order; popped
+    # from the end they come in canonical order, each freed once it is used
+    cuts = list(combinations_with_replacement(range(n + 1), d - 1))
+    descending = (cuts.pop() for _ in range(len(cuts)))
+    return tuple(tuple(map(sub, (*c, n), (0, *c))) for c in descending)
 
 
 def validate_occupation(occupation: Sequence[int]) -> tuple[int, ...]:

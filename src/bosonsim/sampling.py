@@ -27,15 +27,6 @@ MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
-class SampleRun:
-    """Observed outcome frequencies; counts[i] belongs to basis index i."""
-
-    seed: int
-    count: int
-    counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
     p_value: float
@@ -43,8 +34,11 @@ class ChiSquareResult:
     bins: int
 
 
-def sample(dist: OutputDistribution, count: int, seed: int) -> SampleRun:
-    """Draw ``count`` i.i.d. outcomes by inverse-CDF over canonical order."""
+def sample(dist: OutputDistribution, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. outcomes by inverse-CDF over canonical order.
+
+    Returns the observed frequencies; counts[i] belongs to basis index i.
+    """
     if count < 0:
         raise ValueError("sample count must be nonnegative")
     total = dist.normalization()
@@ -58,12 +52,11 @@ def sample(dist: OutputDistribution, count: int, seed: int) -> SampleRun:
     # the cdf never decreases, so a draw lands in bins 0..j exactly when it is
     # below cdf[j]; the last bin takes the rest, draws at or above cdf[-1] too
     below = np.searchsorted(draws, cdf[:-1], side="left")
-    counts = np.diff(below, prepend=0, append=count)
-    return SampleRun(seed=seed, count=count, counts=counts)
+    return np.diff(below, prepend=0, append=count)
 
 
-def chi_square_gof(run: SampleRun, dist: OutputDistribution) -> ChiSquareResult:
-    """Pearson goodness-of-fit of a sample run against a distribution.
+def chi_square_gof(counts: np.ndarray, dist: OutputDistribution) -> ChiSquareResult:
+    """Pearson goodness-of-fit of observed counts against a distribution.
 
     Bins with expected count below MIN_EXPECTED are pooled into one; if the
     pooled bin is itself still too small it is merged into the smallest
@@ -71,12 +64,10 @@ def chi_square_gof(run: SampleRun, dist: OutputDistribution) -> ChiSquareResult:
     pooling gives the degenerate result: statistic 0, p-value 1, no degrees
     of freedom.
     """
-    if len(run.counts) != len(dist):
-        raise ValueError(
-            f"run has {len(run.counts)} bins but distribution has {len(dist)}"
-        )
-    expected = dist.clamped_probabilities() * run.count
-    observed = np.asarray(run.counts, dtype=float)
+    if len(counts) != len(dist):
+        raise ValueError(f"{len(counts)} counts for a distribution of {len(dist)} outcomes")
+    observed = np.asarray(counts, dtype=float)
+    expected = dist.clamped_probabilities() * observed.sum()
 
     keep = expected >= MIN_EXPECTED
     exp_bins = list(expected[keep])

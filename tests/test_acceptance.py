@@ -19,7 +19,7 @@ from bosonsim.bosonic import (
 from bosonsim.fermionic import (
     fermion_amplitude,
     fermion_distribution,
-    fermion_mode_probability,
+    fermion_mode_probabilities,
 )
 from bosonsim.permanents import permanent_glynn, permanent_naive
 from bosonsim.sampling import chi_square_gof, sample
@@ -147,7 +147,7 @@ def test_criterion_5_two_route_consistency():
         inp = tuple(1 if k in modes else 0 for k in range(d))
         dist = fermion_distribution(u, inp)
         slow = first_moment(dist)
-        fast = np.array([fermion_mode_probability(u, inp, k) for k in range(d)])
+        fast = fermion_mode_probabilities(u, inp)
         worst_fermi = max(worst_fermi, np.abs(fast - slow).max())
         worst_fermi_total = max(worst_fermi_total, abs(fast.sum() - n))
     ok = max(worst_boson, worst_fermi, worst_boson_total, worst_fermi_total) < 1e-9
@@ -196,13 +196,9 @@ def test_criterion_7_phase_gauge_invariance():
         fermion_distribution(u, finp).probabilities
         - fermion_distribution(phased, finp).probabilities
     ).max()
-    dfm = max(
-        abs(
-            fermion_mode_probability(u, finp, k)
-            - fermion_mode_probability(phased, finp, k)
-        )
-        for k in range(4)
-    )
+    dfm = np.abs(
+        fermion_mode_probabilities(u, finp) - fermion_mode_probabilities(phased, finp)
+    ).max()
     worst = max(dp, dm, df, dfm)
     ok = worst < 1e-10
     report(7, ok, f"e^(i*phi)*U leaves probabilities/expectations unchanged: dev {worst:.2e}")
@@ -213,8 +209,8 @@ def test_criterion_8_sampler_calibration():
     dist = output_distribution(u, (1, 1, 0, 0))
     passes = 0
     for seed in range(100):
-        run = sample(dist, count=100_000, seed=seed)
-        if chi_square_gof(run, dist).p_value > 0.001:
+        counts = sample(dist, count=100_000, seed=seed)
+        if chi_square_gof(counts, dist).p_value > 0.001:
             passes += 1
     perm = np.random.default_rng(1).permutation(len(dist))
     wrong = OutputDistribution(
@@ -223,8 +219,8 @@ def test_criterion_8_sampler_calibration():
         amplitudes=dist.amplitudes[perm],
         probabilities=dist.probabilities[perm],
     )
-    wrong_run = sample(wrong, count=100_000, seed=0)
-    wrong_p = chi_square_gof(wrong_run, dist).p_value
+    wrong_counts = sample(wrong, count=100_000, seed=0)
+    wrong_p = chi_square_gof(wrong_counts, dist).p_value
     ok = passes >= 99 and wrong_p < 1e-6
     report(8, ok, f"chi-square: {passes}/100 seeds pass at p>0.001; permuted control p={wrong_p:.2e}")
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,19 @@ def test_cap_violation_exits_2(capsys):
     assert "cap" in err
 
 
+def test_basis_of_many_photons_within_desk_budget(capsys):
+    # 30 001 states, far under the cap; counting the mode of each photon of
+    # each state took 47.5 s on a 2-vCPU host
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "basis", "--d", "2", "--n", "30000")
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 30_001
+    assert (lines[0], lines[1], lines[-1]) == ("|30000,0⟩", "|29999,1⟩", "|0,30000⟩")
+    assert elapsed < 5.0, elapsed
+
+
 def test_particle_guard_exits_2(bs_file, capsys):
     code, _, err = run_cli(capsys, "amplitude", bs_file, "--in", "20,20", "--out", "20,20")
     assert code == 2
@@ -383,17 +397,17 @@ def test_sample_point_mass_exits_0(tmp_path, capsys, extra):
 
 def sample_payload_by_dict(inp, dist, count, seed):
     """``sample``'s stdout as first written: a nested dict through render_json."""
-    run = sample(dist, count=count, seed=seed)
-    gof = chi_square_gof(run, dist)
-    expected = dist.clamped_probabilities() * run.count
+    counts = sample(dist, count=count, seed=seed)
+    gof = chi_square_gof(counts, dist)
+    expected = dist.clamped_probabilities() * count
     payload = {
         "input": [int(r) for r in inp],
-        "seed": run.seed,
-        "count": run.count,
+        "seed": seed,
+        "count": count,
         "counts": [
             {
                 "state": [int(r) for r in state],
-                "observed": int(run.counts[i]),
+                "observed": int(counts[i]),
                 "expected": float(expected[i]),
             }
             for i, state in enumerate(dist.states)

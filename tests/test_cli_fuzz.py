@@ -42,6 +42,12 @@ NUMBER = st.one_of(
 # generated photon numbers stay small or go past the size guard
 OCCUPATION = st.one_of(st.integers(0, 3), st.integers(31, 40), HUGE)
 TOLS = st.one_of(st.floats().map(repr), st.sampled_from(["1e-10", "1e-400", "1e400"]))
+# basis photon numbers up to 30 000: in two modes half of them past 10 000, where
+# building the basis once took seconds to minutes; in three modes n > 1412 exceeds
+# the default cap, and the 29 161 to 10^6 states in between are left out for their cost
+BASIS_N = {1: st.integers(0, 30_000),
+           2: st.one_of(st.integers(0, 300), st.integers(10_000, 30_000)),
+           3: st.one_of(st.integers(0, 240), st.integers(1413, 30_000))}
 CAPS = st.one_of(st.integers(-3, 100), st.integers(10**6, 10**30))
 # counts of 2^44 and more ask for over 128 TiB and fail at once; those between
 # would really be allocated
@@ -87,11 +93,14 @@ def states(d):
 
 @st.composite
 def invocations(draw):
-    """A matrix file's text and an argv naming it as MATRIX; the state lists mostly fit d."""
+    """A matrix file's text and an argv naming it as MATRIX (basis names none); the state
+    lists mostly fit d."""
     d = draw(st.integers(1, 3))
     command = draw(st.sampled_from(
-        ["permanent", "amplitude", "distribution", "expect", "sample", "check"]
+        ["permanent", "amplitude", "distribution", "expect", "sample", "check", "basis"]
     ))
+    if command == "basis":
+        return "", ["basis", f"--d={d}", f"--n={draw(BASIS_N[d])}"]
     argv = [command, "MATRIX"] + [flag for flag in FLAGS.get(command, []) if draw(st.booleans())]
     if command in ("amplitude", "distribution", "expect", "sample"):
         argv.append(f"--in={draw(states(d))}")

@@ -11,7 +11,6 @@ from bosonsim.fermionic import (
     fermion_basis_size,
     fermion_distribution,
     fermion_mode_probabilities,
-    fermion_mode_probability,
 )
 from bosonsim import permanents
 from bosonsim.bosonic import output_distribution, transition_amplitude
@@ -173,11 +172,11 @@ def test_amplitudes_match_antisymmetric_power_oracle(d, n, seed):
 def test_mode_probability_identity():
     inp = (1, 0, 1, 0)
     for k in range(4):
-        assert np.isclose(fermion_mode_probability(np.eye(4), inp, k), inp[k])
+        assert np.isclose(fermion_mode_probabilities(np.eye(4), inp)[k], inp[k])
 
 
 def test_mode_probability_beamsplitter():
-    assert abs(fermion_mode_probability(BEAMSPLITTER, (1, 0), 0) - 0.5) < 1e-12
+    assert abs(fermion_mode_probabilities(BEAMSPLITTER, (1, 0))[0] - 0.5) < 1e-12
 
 
 def test_mode_probability_matches_brute_force():
@@ -186,7 +185,7 @@ def test_mode_probability_matches_brute_force():
     dist = fermion_distribution(u, inp)
     for k in range(4):
         brute = sum(p * s[k] for s, p in zip(dist.states, dist.probabilities))
-        assert abs(fermion_mode_probability(u, inp, k) - brute) < 1e-9
+        assert abs(fermion_mode_probabilities(u, inp)[k] - brute) < 1e-9
 
 
 def test_mode_probabilities_sum_to_particle_number():
@@ -225,8 +224,3 @@ def test_rejects_multiply_occupied_modes():
 def test_rejects_particle_mismatch():
     with pytest.raises(ValueError):
         fermion_amplitude(np.eye(3), (1, 1, 0), (1, 0, 0))
-
-
-def test_mode_out_of_range():
-    with pytest.raises(ValueError):
-        fermion_mode_probability(np.eye(2), (1, 0), 2)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ def test_canonical_order_endpoints_and_monotonicity():
         for a, b in zip(basis, basis[1:]):
             assert a > b
             assert occupation_to_sequence(a) < occupation_to_sequence(b)
+
+
+def sequence_counting_basis(d, n):
+    """The basis as first built: count the modes of each ascending mode sequence."""
+    basis = []
+    for sequence in combinations_with_replacement(range(d), n):
+        occ = [0] * d
+        for k in sequence:
+            occ[k] += 1
+        basis.append(tuple(occ))
+    return tuple(basis)
+
+
+def test_basis_matches_sequence_counting():
+    for d, n in [(d, n) for d in range(1, 7) for n in range(7)] + [(12, 6)]:
+        assert enumerate_basis(d, n) == sequence_counting_basis(d, n), (d, n)
 
 
 def test_basis_cap_enforced():

@@ -26,35 +26,34 @@ def make_distribution(probs, d=None):
 
 def test_point_mass_all_samples_land_on_it():
     dist = output_distribution(np.eye(3), (1, 0, 1))
-    run = sample(dist, count=1000, seed=1)
+    counts = sample(dist, count=1000, seed=1)
     idx = dist.states.index((1, 0, 1))
-    assert run.counts[idx] == 1000
-    assert run.counts.sum() == 1000
+    assert counts[idx] == 1000
+    assert counts.sum() == 1000
 
 
 def test_beamsplitter_frequencies():
     dist = output_distribution(BEAMSPLITTER, (1, 1))
-    run = sample(dist, count=100_000, seed=5)
+    counts = sample(dist, count=100_000, seed=5)
     # binomial standard error is about 0.0016 at p = 0.5
-    assert abs(run.counts[0] / 100_000 - 0.5) < 0.01
-    assert run.counts[1] == 0
-    assert abs(run.counts[2] / 100_000 - 0.5) < 0.01
+    assert abs(counts[0] / 100_000 - 0.5) < 0.01
+    assert counts[1] == 0
+    assert abs(counts[2] / 100_000 - 0.5) < 0.01
 
 
 def test_same_seed_same_counts():
     dist = output_distribution(random_haar_unitary(4, seed=8), (1, 1, 0, 0))
     a = sample(dist, count=5000, seed=123)
     b = sample(dist, count=5000, seed=123)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a, b)
     c = sample(dist, count=5000, seed=124)
-    assert not np.array_equal(a.counts, c.counts)
+    assert not np.array_equal(a, c)
 
 
 def test_counts_always_sum_to_count():
     dist = output_distribution(random_haar_unitary(3, seed=9), (2, 0, 0))
     for seed in range(5):
-        run = sample(dist, count=777, seed=seed)
-        assert run.counts.sum() == 777
+        assert sample(dist, count=777, seed=seed).sum() == 777
 
 
 def test_unnormalized_distribution_rejected():
@@ -78,8 +77,8 @@ def test_negative_count_rejected():
 
 def test_gof_accepts_own_samples():
     dist = output_distribution(random_haar_unitary(4, seed=30), (1, 1, 0, 0))
-    run = sample(dist, count=100_000, seed=0)
-    result = chi_square_gof(run, dist)
+    counts = sample(dist, count=100_000, seed=0)
+    result = chi_square_gof(counts, dist)
     assert result.p_value > 0.001
     assert result.statistic >= 0.0
 
@@ -102,15 +101,15 @@ def test_gof_rejects_permuted_distribution():
         amplitudes=dist.amplitudes[perm],
         probabilities=dist.probabilities[perm],
     )
-    run = sample(wrong, count=100_000, seed=0)
-    assert chi_square_gof(run, dist).p_value < 1e-6
+    counts = sample(wrong, count=100_000, seed=0)
+    assert chi_square_gof(counts, dist).p_value < 1e-6
 
 
 def test_gof_pools_small_bins():
     # 10_000 * 0.0002 = 2 expected counts per tiny bin: all three get pooled
     dist = make_distribution([0.5994, 0.4, 0.0002, 0.0002, 0.0002])
-    run = sample(dist, count=10_000, seed=2)
-    result = chi_square_gof(run, dist)
+    counts = sample(dist, count=10_000, seed=2)
+    result = chi_square_gof(counts, dist)
     assert result.bins == 3
     assert result.degrees_of_freedom == 2
 
@@ -127,9 +126,9 @@ def test_gof_single_bin_is_degenerate():
 def test_gof_bin_count_mismatch():
     dist = make_distribution([0.5, 0.5])
     other = make_distribution([0.25, 0.25, 0.25, 0.25])
-    run = sample(dist, count=100, seed=4)
+    counts = sample(dist, count=100, seed=4)
     with pytest.raises(ValueError):
-        chi_square_gof(run, other)
+        chi_square_gof(counts, other)
 
 
 def inverse_cdf_counts(dist, count, seed):
@@ -168,5 +167,5 @@ SCALED = np.array([0.0, 0.3, 0.0, 0.0, 0.45, 0.0, 0.25, 0.0])
 def test_sorted_binning_matches_inverse_cdf_lookup(dist):
     for seed in range(40):
         for count in (0, 1, 997):
-            run = sample(dist, count=count, seed=seed)
-            assert np.array_equal(run.counts, inverse_cdf_counts(dist, count, seed))
+            counts = sample(dist, count=count, seed=seed)
+            assert np.array_equal(counts, inverse_cdf_counts(dist, count, seed))
