@@ -175,16 +175,17 @@ def mean_photon_numbers(unitary, input_state) -> np.ndarray:
 
 def distribution_to_jsonable(dist: OutputDistribution) -> dict:
     """Distribution payload: input state, then one record per outcome."""
-    probs = dist.clamped_probabilities()
+    columns = zip(
+        dist.states,
+        dist.clamped_probabilities().tolist(),
+        dist.amplitudes.real.tolist(),
+        dist.amplitudes.imag.tolist(),
+    )
     return {
         "input": [int(r) for r in dist.input_state],
         "outcomes": [
-            {
-                "state": [int(r) for r in state],
-                "probability": float(probs[i]),
-                "amplitude": [float(dist.amplitudes[i].real), float(dist.amplitudes[i].imag)],
-            }
-            for i, state in enumerate(dist.states)
+            {"state": list(state), "probability": p, "amplitude": [re, im]}
+            for state, p, re, im in columns
         ],
     }
 

@@ -99,9 +99,10 @@ def cmd_sample(args) -> int:
     counts = sampling.sample(dist, count=args.count, seed=args.seed)
     gof = sampling.chi_square_gof(counts, dist)
     expected = dist.clamped_probabilities() * args.count
-    # one template per outcome; + 0.0 prints -0.0 as 0, as format_float does
+    # one template per outcome: a list of ints prints as its JSON array, as in render_json,
+    # and + 0.0 prints -0.0 as 0, as format_float does
     records = ", ".join(
-        f'{{"state": [{", ".join(map(str, state))}], "observed": {observed}, '
+        f'{{"state": {list(state)}, "observed": {observed}, '
         f'"expected": {value + 0.0:.17g}}}'
         for state, observed, value in zip(dist.states, counts.tolist(), expected.tolist())
     )

@@ -44,6 +44,8 @@ def enumerate_basis(
     size = basis_size(d, n)
     if size > cap:
         raise ValueError(f"basis size C({d + n - 1},{n}) = {size} exceeds cap {cap}")
+    if d == 1:  # one state; the pool below would hold n + 1 ints for it
+        return ((n,),)
     # the prefix sums r_0, r_0 + r_1, ... of every state, in ascending order; popped
     # from the end they come in canonical order, each freed once it is used
     cuts = list(combinations_with_replacement(range(n + 1), d - 1))

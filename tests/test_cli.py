@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from json_reference import render_json_reference
 
 import bosonsim
 from bosonsim import cli
 from bosonsim.cli import main
-from bosonsim.formatting import render_json
 from bosonsim.sampling import chi_square_gof, sample
 from bosonsim.transforms import matrix_to_jsonable, random_haar_unitary
 
@@ -262,6 +263,13 @@ def test_basis_of_many_photons_within_desk_budget(capsys):
     assert elapsed < 5.0, elapsed
 
 
+def test_one_mode_basis_of_many_photons_exits_0(capsys):
+    # the one state of a single mode, without a pool of n + 1 prefix sums
+    code, out, err = run_cli(capsys, "basis", "--d", "1", "--n", "1000000000000000")
+    assert code == 0, err
+    assert out == "|1000000000000000⟩\n"
+
+
 def test_particle_guard_exits_2(bs_file, capsys):
     code, _, err = run_cli(capsys, "amplitude", bs_file, "--in", "20,20", "--out", "20,20")
     assert code == 2
@@ -287,6 +295,47 @@ def test_distribution_single_mode_identity_is_exactly_one(tmp_path, capsys):
     )
 
 
+# exact bytes of `distribution` JSON: a signed zero, bunched and full-occupancy states
+@pytest.mark.parametrize(
+    "matrix, inp, expected",
+    [
+        (  # per(-I) = 1 - 0j: the -0.0 imaginary part prints as 0
+            -np.eye(2),
+            "1,1",
+            '{"input": [1, 1], "outcomes": ['
+            '{"state": [2, 0], "probability": 0, "amplitude": [0, 0]}, '
+            '{"state": [1, 1], "probability": 1, "amplitude": [1, 0]}, '
+            '{"state": [0, 2], "probability": 0, "amplitude": [0, 0]}]}',
+        ),
+        (  # bunched input and outcomes, with (3, 0) and (0, 3) fully occupied
+            BEAMSPLITTER,
+            "2,1",
+            '{"input": [2, 1], "outcomes": ['
+            '{"state": [3, 0], "probability": 0.37499999999999994, '
+            '"amplitude": [0.61237243569579447, 0]}, '
+            '{"state": [2, 1], "probability": 0.1249999999999999, '
+            '"amplitude": [0.35355339059327362, 0]}, '
+            '{"state": [1, 2], "probability": 0.1249999999999999, '
+            '"amplitude": [-0.35355339059327362, 0]}, '
+            '{"state": [0, 3], "probability": 0.37499999999999994, '
+            '"amplitude": [-0.61237243569579447, 0]}]}',
+        ),
+    ],
+    ids=["negative-zero", "bunched-full-occupancy"],
+)
+def test_distribution_json_bytes(tmp_path, capsys, matrix, inp, expected):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(matrix_to_jsonable(matrix)))
+    code, out, err = run_cli(capsys, "distribution", str(path), "--in", inp)
+    assert code == 0, err
+    assert out == expected + "\n"
+
+
+def test_distribution_json_bytes_hold_a_negative_zero():
+    amplitudes = cli.bosonic.output_distribution(-np.eye(2), (1, 1)).amplitudes
+    assert np.signbit(amplitudes.imag).any()
+
+
 # each asks for more than 128 TiB, beyond any user address space, so the
 # allocation fails at once whatever the kernel's overcommit mode
 @pytest.mark.parametrize(
@@ -294,7 +343,8 @@ def test_distribution_single_mode_identity_is_exactly_one(tmp_path, capsys):
     [
         ("sample", "U4", "--in", "1,1,0,0", "--count", "1000000000000000", "--seed", "1"),
         ("random-unitary", "--d", "100000000", "--seed", "1"),
-        ("basis", "--d", "1", "--n", "1000000000000000"),  # MemoryError() has no message
+        # MemoryError() has no message
+        ("basis", "--d", "2", "--n", "1000000000000000", "--cap", "10000000000000000"),
     ],
 )
 def test_out_of_memory_exits_2(u4_file, capsys, argv):
@@ -309,7 +359,8 @@ def test_out_of_memory_exits_2(u4_file, capsys, argv):
     "argv",
     [
         ("check", "DEEP"),  # RecursionError in json.load
-        ("basis", "--d", "1", "--n", "100000000000000000000"),  # OverflowError in itertools
+        # OverflowError in itertools
+        ("basis", "--d", "2", "--n", "100000000000000000000", "--cap", "1000000000000000000000"),
         ("expect", "U4", "--in", "1" + "0" * 309 + ",0,0,0"),  # OverflowError int -> float
         ("check", "HUGE"),  # overflow in U^dag U
     ],
@@ -396,7 +447,7 @@ def test_sample_point_mass_exits_0(tmp_path, capsys, extra):
 
 
 def sample_payload_by_dict(inp, dist, count, seed):
-    """``sample``'s stdout as first written: a nested dict through render_json."""
+    """``sample``'s stdout as first written: a nested dict through the reference serializer."""
     counts = sample(dist, count=count, seed=seed)
     gof = chi_square_gof(counts, dist)
     expected = dist.clamped_probabilities() * count
@@ -419,7 +470,7 @@ def sample_payload_by_dict(inp, dist, count, seed):
             "bins": gof.bins,
         },
     }
-    return render_json(payload) + "\n"
+    return render_json_reference(payload) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -467,3 +518,39 @@ def test_cli_import_leaves_scipy_stats_out():
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr or "bosonsim.cli imported scipy.stats"
+
+
+# posix_spawns the CLI, sends its stdout to /dev/null and prints its exit code and
+# ru_maxrss.  A child started by fork or vfork from a large process inherits that
+# process's RSS high-water mark through exec, so the CLI is started from this small
+# launcher rather than from the test process, and the reading is the CLI's own.
+CHILD_RSS = """
+import os, sys
+devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+argv = [sys.executable, "-m", "bosonsim.cli", *sys.argv[1:]]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=devnull)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_rss_mb(*argv):
+    src = str(Path(bosonsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD_RSS, *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    code, maxrss_kb = map(int, result.stdout.split())
+    assert code == 0
+    return maxrss_kb / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_fermion_json_child_memory_over_noop(tmp_path):
+    # a 2-vCPU host read 53.5 MB for the no-op and 72.6 MB for the fermion JSON
+    path = tmp_path / "u16.json"
+    path.write_text(json.dumps(matrix_to_jsonable(random_haar_unitary(16, seed=16))))
+    noop = child_rss_mb("basis", "--d", "1", "--n", "0")
+    fermion = child_rss_mb("distribution", str(path), "--in", ",".join("1" * 8 + "0" * 8), "--fermion")
+    assert fermion - noop <= 24.0, (noop, fermion)
