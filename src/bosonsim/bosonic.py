@@ -12,9 +12,10 @@ matrix of U -- a unitary of dimension C(d+n-1, n) whose construction costs
 one permanent per entry.
 
 One private builder, ``_amplitude_matrix``, makes every amplitude, boson or
-fermion: one outcome or a whole basis, from one input or many.  It evaluates
-the submatrices in stacked blocks of outcomes (``permanents.submatrix_kernel``)
-and divides by sqrt(Gamma_in * Gamma_out), an exact integer rounded once, so
+fermion: one outcome or a whole basis, from one input or many, each a (K, d)
+occupation array as the basis is.  It evaluates the submatrices in stacked
+blocks of outcomes (``permanents.submatrix_kernel``) and divides by
+sqrt(Gamma_in * Gamma_out), an exact integer rounded once, so
 ``transition_amplitude``, ``output_distribution`` and
 ``symmetric_power_matrix`` agree to the last bit.  One private routine,
 ``_distribution``, makes the boson and the fermion distribution alike; the
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -46,17 +46,19 @@ from .formatting import format_float
 from .permanents import _glynn, as_square_matrix, check_permanent_size, submatrix_kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputDistribution:
     """Amplitudes and probabilities over a canonically ordered basis.
 
+    ``states`` is the basis as enumerated, a read-only (K, d) array.  Two
+    distributions compare equal, and hash alike, only when they are one object.
     ``probabilities`` holds the raw |amplitude|^2 values; clamping of
     floating-point dust happens only at presentation time
     (``clamped_probabilities``) so normalization checks see the real sum.
     """
 
     input_state: tuple[int, ...]
-    states: tuple[tuple[int, ...], ...]
+    states: np.ndarray
     amplitudes: np.ndarray
     probabilities: np.ndarray
 
@@ -91,24 +93,23 @@ def _check_transition(unitary, inp: tuple[int, ...], out: tuple[int, ...]) -> np
 def _amplitude_matrix(u: np.ndarray, outcomes, inputs, kernel) -> np.ndarray:
     """Amplitudes <out|U|in>, one row per outcome and one column per input state.
 
+    ``outcomes`` and ``inputs`` are (K, d) and (J, d) occupation arrays.
     ``kernel`` is ``_glynn`` for bosons and ``numpy.linalg.det`` for fermions.
-    Outcome k's submatrix repeats row j of U outcomes[k][j] times, in ascending
+    Outcome k's submatrix repeats row j of U outcomes[k, j] times, in ascending
     mode order, over the input's repeated columns, and ``submatrix_kernel``
     evaluates the submatrices of all outcomes in blocks.  Each amplitude is
     divided by sqrt(Gamma_in * Gamma_out), the exact product of factorials
     rounded once.
     """
-    d, n, k = u.shape[0], sum(inputs[0]), len(outcomes)
-    # one byte per occupation (at most n <= PERMANENT_SIZE_LIMIT for bosons, 1 for fermions)
-    # and the narrowest mode index keep these temporaries, and the CLI's peak RSS, small
-    occupations = np.frombuffer(bytes(chain.from_iterable(outcomes)), dtype=np.uint8)
+    (k, d), n = outcomes.shape, int(inputs[0].sum())
+    # the narrowest mode index keeps this temporary, and the CLI's peak RSS, small
     modes = np.arange(d, dtype=np.min_scalar_type(d - 1))
-    rows = np.repeat(np.tile(modes, k), occupations).reshape(k, n)
+    rows = np.repeat(np.tile(modes, k), outcomes.ravel()).reshape(k, n)
     factorial = [math.factorial(r) for r in range(n + 1)]
-    bunched = np.flatnonzero((occupations.reshape(k, d) > 1).any(axis=1))
-    gamma_out = [math.prod(map(factorial.__getitem__, outcomes[i])) for i in bunched]
+    bunched = np.flatnonzero((outcomes > 1).any(axis=1))
+    gamma_out = [math.prod(map(factorial.__getitem__, occ)) for occ in outcomes[bunched].tolist()]
     amplitudes = np.empty((k, len(inputs)), dtype=np.complex128)
-    for j, inp in enumerate(inputs):
+    for j, inp in enumerate(inputs.tolist()):
         column = submatrix_kernel(kernel, u[:, np.repeat(np.arange(d), inp)], rows)
         gamma_in = math.prod(map(factorial.__getitem__, inp))
         norm = np.full(k, math.sqrt(gamma_in))  # Gamma_out = 1 where no mode is bunched
@@ -122,7 +123,7 @@ def _amplitude_matrix(u: np.ndarray, outcomes, inputs, kernel) -> np.ndarray:
 
 def _distribution(u: np.ndarray, inp: tuple[int, ...], states, kernel) -> OutputDistribution:
     """The distribution over ``states`` from ``inp``; ``kernel`` picks the statistics."""
-    amplitudes = _amplitude_matrix(u, states, (inp,), kernel)[:, 0]
+    amplitudes = _amplitude_matrix(u, states, np.array([inp]), kernel)[:, 0]
     return OutputDistribution(inp, states, amplitudes, np.abs(amplitudes) ** 2)
 
 
@@ -132,7 +133,7 @@ def transition_amplitude(unitary, input_state, output_state) -> complex:
     out = validate_occupation(output_state)
     u = _check_transition(unitary, inp, out)
     check_permanent_size(sum(inp))
-    return complex(_amplitude_matrix(u, (out,), (inp,), _glynn)[0, 0])
+    return complex(_amplitude_matrix(u, np.array([out]), np.array([inp]), _glynn)[0, 0])
 
 
 def output_distribution(
@@ -176,7 +177,7 @@ def mean_photon_numbers(unitary, input_state) -> np.ndarray:
 def distribution_to_jsonable(dist: OutputDistribution) -> dict:
     """Distribution payload: input state, then one record per outcome."""
     columns = zip(
-        dist.states,
+        dist.states.tolist(),
         dist.clamped_probabilities().tolist(),
         dist.amplitudes.real.tolist(),
         dist.amplitudes.imag.tolist(),
@@ -184,7 +185,7 @@ def distribution_to_jsonable(dist: OutputDistribution) -> dict:
     return {
         "input": [int(r) for r in dist.input_state],
         "outcomes": [
-            {"state": list(state), "probability": p, "amplitude": [re, im]}
+            {"state": state, "probability": p, "amplitude": [re, im]}
             for state, p, re, im in columns
         ],
     }
@@ -194,6 +195,6 @@ def distribution_to_csv(dist: OutputDistribution) -> str:
     """CSV rendering, one `state;probability` row per outcome."""
     probs = dist.clamped_probabilities()
     lines = ["state;probability"]
-    for i, state in enumerate(dist.states):
+    for i, state in enumerate(dist.states.tolist()):
         lines.append(",".join(str(r) for r in state) + ";" + format_float(float(probs[i])))
     return "\n".join(lines) + "\n"

@@ -50,7 +50,7 @@ def cmd_permanent(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    for state in fock.enumerate_basis(args.d, args.n, cap=args.cap):
+    for state in fock.enumerate_basis(args.d, args.n, cap=args.cap).tolist():
         print(fock.format_state(state))
     return 0
 
@@ -102,9 +102,9 @@ def cmd_sample(args) -> int:
     # one template per outcome: a list of ints prints as its JSON array, as in render_json,
     # and + 0.0 prints -0.0 as 0, as format_float does
     records = ", ".join(
-        f'{{"state": {list(state)}, "observed": {observed}, '
+        f'{{"state": {state}, "observed": {observed}, '
         f'"expected": {value + 0.0:.17g}}}'
-        for state, observed, value in zip(dist.states, counts.tolist(), expected.tolist())
+        for state, observed, value in zip(dist.states.tolist(), counts.tolist(), expected.tolist())
     )
     chi_square = render_json(
         {

@@ -1,13 +1,13 @@
 """Number-conserving fermionic linear networks: the efficiently simulable twin.
 
 Fermions in d modes occupy each mode at most once, so an n-particle state
-is a 0/1 vector with n ones.  Under the same d x d unitary that drives the
-bosonic case, the transition amplitude is the *determinant* of the n x n
-submatrix of U picked out by the occupied output rows and occupied input
-columns (both ascending) -- polynomial cost where the boson needs a
-permanent.  The boson amplitude builder makes these amplitudes too, with the
-determinant as its kernel; its Gamma factor is 1 since every occupation is 0
-or 1.
+is a 0/1 vector with n ones, and a basis is a (K, d) ``uint8`` array of them.
+Under the same d x d unitary that drives the bosonic case, the transition
+amplitude is the *determinant* of the n x n submatrix of U picked out by the
+occupied output rows and occupied input columns (both ascending) --
+polynomial cost where the boson needs a permanent.  The boson amplitude
+builder makes these amplitudes too, with the determinant as its kernel; its
+Gamma factor is 1 since every occupation is 0 or 1.
 
 Ascending mode order fixes the Jordan-Wigner signs consistently; swapping
 two rows of the submatrix flips the amplitude sign but never a probability.
@@ -16,8 +16,8 @@ two rows of the submatrix flips the amplitude sign but never a probability.
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -48,19 +48,8 @@ def fermion_basis_size(d: int, n: int) -> int:
     return math.comb(d, n)
 
 
-def _occupations(d: int, sequences: Iterable[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    # count the 0-based modes of each sequence into an occupation vector
-    for sequence in sequences:
-        occ = [0] * d
-        for k in sequence:
-            occ[k] += 1
-        yield tuple(occ)
-
-
-def enumerate_fermion_basis(
-    d: int, n: int, cap: int = DEFAULT_BASIS_CAP
-) -> tuple[tuple[int, ...], ...]:
-    """All 0/1 occupation vectors with n ones, in canonical order.
+def enumerate_fermion_basis(d: int, n: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:
+    """All 0/1 occupation vectors with n ones: a read-only (K, d) ``uint8`` array.
 
     Canonical order matches the bosonic one (lexicographically decreasing
     occupation vectors), which is ascending lexicographic order on the
@@ -69,7 +58,13 @@ def enumerate_fermion_basis(
     size = fermion_basis_size(d, n)
     if size > cap:
         raise ValueError(f"basis size C({d},{n}) = {size} exceeds cap {cap}")
-    return tuple(_occupations(d, combinations(range(d), n)))
+    # the occupied modes of each state, in the narrowest dtype that holds a mode index
+    modes = chain.from_iterable(combinations(range(d), n))
+    modes = np.fromiter(modes, np.min_scalar_type(d - 1), size * n).reshape(size, n)
+    basis = np.zeros((size, d), dtype=np.uint8)
+    np.put_along_axis(basis, modes, 1, axis=1)
+    basis.flags.writeable = False
+    return basis
 
 
 def fermion_amplitude(unitary, input_state, output_state) -> complex:
@@ -77,7 +72,7 @@ def fermion_amplitude(unitary, input_state, output_state) -> complex:
     inp = validate_fermion_state(input_state)
     out = validate_fermion_state(output_state)
     u = _check_transition(unitary, inp, out)
-    return complex(_amplitude_matrix(u, (out,), (inp,), np.linalg.det)[0, 0])
+    return complex(_amplitude_matrix(u, np.array([out]), np.array([inp]), np.linalg.det)[0, 0])
 
 
 def fermion_distribution(

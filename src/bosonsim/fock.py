@@ -4,7 +4,8 @@ A state is labeled either by an occupation vector (r_1, ..., r_d) of
 nonnegative counts summing to n, or equivalently by the nondecreasing
 sequence (j_1 <= ... <= j_n) of the modes each particle sits in (modes are
 numbered 1..d in sequences).  Occupation vectors are the primary
-representation here; sequences are a view.
+representation here; sequences are a view.  A whole basis is a read-only
+(K, d) integer array, one state per row, and every layer reads that one form.
 
 The canonical basis order is lexicographically decreasing occupation
 vectors -- (n, 0, ..., 0) first, (0, ..., 0, n) last -- which is the same
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import combinations_with_replacement
-from operator import sub
+from itertools import chain, combinations_with_replacement
 from typing import Sequence
+
+import numpy as np
 
 #: default limit on the number of basis states materialized at once
 DEFAULT_BASIS_CAP = 10**6
@@ -32,25 +34,24 @@ def basis_size(d: int, n: int) -> int:
     return math.comb(d + n - 1, n)
 
 
-def enumerate_basis(
-    d: int, n: int, cap: int = DEFAULT_BASIS_CAP
-) -> tuple[tuple[int, ...], ...]:
+def enumerate_basis(d: int, n: int, cap: int = DEFAULT_BASIS_CAP) -> np.ndarray:
     """All occupation vectors with sum n over d modes, in canonical order.
 
-    The result is duplicate-free; its size C(d+n-1, n) is checked against
-    ``cap`` before anything is built.  ``basis.index(state)`` is a state's
-    position.  Building it costs O(K*d) for K states.
+    One read-only (K, d) row per state, of the narrowest unsigned dtype that
+    holds n; the rows are distinct.  Their number K = C(d+n-1, n) is checked
+    against ``cap`` before anything is built.  Building it costs O(K*d).
     """
     size = basis_size(d, n)
     if size > cap:
         raise ValueError(f"basis size C({d + n - 1},{n}) = {size} exceeds cap {cap}")
-    if d == 1:  # one state; the pool below would hold n + 1 ints for it
-        return ((n,),)
-    # the prefix sums r_0, r_0 + r_1, ... of every state, in ascending order; popped
-    # from the end they come in canonical order, each freed once it is used
-    cuts = list(combinations_with_replacement(range(n + 1), d - 1))
-    descending = (cuts.pop() for _ in range(len(cuts)))
-    return tuple(tuple(map(sub, (*c, n), (0, *c))) for c in descending)
+    dtype = np.min_scalar_type(n)
+    # every state's prefix sums r_0, r_0 + r_1, ..., in ascending order (d = 1 has none,
+    # and draws no pool of n + 1 ints); reversed, their differences are the canonical states
+    cuts = combinations_with_replacement(range(n + 1) if d > 1 else (), d - 1)
+    cuts = np.fromiter(chain.from_iterable(cuts), dtype, size * (d - 1)).reshape(size, d - 1)
+    basis = np.diff(cuts[::-1], axis=1, prepend=dtype.type(0), append=dtype.type(n))
+    basis.flags.writeable = False
+    return basis
 
 
 def validate_occupation(occupation: Sequence[int]) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from basis_reference import row_index
 
 from bosonsim import bosonic, permanents
 from bosonsim.bosonic import (
@@ -33,8 +34,8 @@ def first_moment(dist):
 # ---------------------------------------------------------------------------
 
 def test_identity_network_is_diagonal():
-    for state in enumerate_basis(3, 2):
-        for other in enumerate_basis(3, 2):
+    for state in enumerate_basis(3, 2).tolist():
+        for other in enumerate_basis(3, 2).tolist():
             amp = transition_amplitude(np.eye(3), state, other)
             expected = 1.0 if state == other else 0.0
             assert np.isclose(amp, expected)
@@ -108,14 +109,14 @@ def test_particle_guard_precedes_allocation(entry_point, args):
 
 def test_identity_distribution_is_point_mass():
     dist = output_distribution(np.eye(3), (0, 2, 1))
-    idx = dist.states.index((0, 2, 1))
+    idx = row_index(dist.states, (0, 2, 1))
     assert np.isclose(dist.probabilities[idx], 1.0)
     assert np.isclose(dist.normalization(), 1.0)
 
 
 def test_beamsplitter_distribution_values():
     dist = output_distribution(BEAMSPLITTER, (1, 1))
-    assert dist.states == ((2, 0), (1, 1), (0, 2))
+    assert dist.states.tolist() == [[2, 0], [1, 1], [0, 2]]
     assert abs(dist.probabilities[0] - 0.5) < 1e-12
     assert dist.probabilities[1] < 1e-12
     assert abs(dist.probabilities[2] - 0.5) < 1e-12
@@ -123,8 +124,19 @@ def test_beamsplitter_distribution_values():
 
 def test_vacuum_distribution_is_one_outcome():
     dist = output_distribution(random_haar_unitary(4, seed=22), (0, 0, 0, 0))
-    assert dist.states == ((0, 0, 0, 0),)
+    assert dist.states.tolist() == [[0, 0, 0, 0]]
     assert dist.amplitudes.tolist() == [1]
+
+
+def test_distributions_compare_and_hash_by_identity():
+    # generated over the array fields, == raised ValueError and hash raised TypeError
+    dist = output_distribution(BEAMSPLITTER, (1, 1))
+    twin = output_distribution(BEAMSPLITTER, (1, 1))
+    assert dist == dist and not dist != dist
+    assert dist != twin and not dist == twin
+    assert hash(dist) == object.__hash__(dist) and hash(twin) == object.__hash__(twin)
+    assert dist in {dist} and twin not in {dist}
+    assert {dist: 1}[dist] == 1
 
 
 @pytest.mark.parametrize("block", [1, 7, 512])
@@ -164,7 +176,7 @@ def test_normalization_is_exact_past_2_53(d):
     for n in range(20, 31):
         states = enumerate_basis(d, n)
         inp = states[len(states) // 3]  # bunched
-        amplitudes = bosonic._amplitude_matrix(np.eye(d), states, (inp,), ones)[:, 0]
+        amplitudes = bosonic._amplitude_matrix(np.eye(d), states, inp[None], ones)[:, 0]
         expected = [
             1 / math.sqrt(float(normalization_gamma(inp) * normalization_gamma(s)))
             for s in states
@@ -349,6 +361,7 @@ def test_distribution_jsonable_shape():
     payload = distribution_to_jsonable(dist)
     assert payload["input"] == [1, 1]
     assert [o["state"] for o in payload["outcomes"]] == [[2, 0], [1, 1], [0, 2]]
+    assert all(type(r) is int for o in payload["outcomes"] for r in o["state"])
     assert all(o["probability"] >= 0.0 for o in payload["outcomes"])
     amp = payload["outcomes"][0]["amplitude"]
     assert abs(complex(amp[0], amp[1]) - 1 / math.sqrt(2)) < 1e-12

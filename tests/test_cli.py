@@ -554,3 +554,14 @@ def test_fermion_json_child_memory_over_noop(tmp_path):
     noop = child_rss_mb("basis", "--d", "1", "--n", "0")
     fermion = child_rss_mb("distribution", str(path), "--in", ",".join("1" * 8 + "0" * 8), "--fermion")
     assert fermion - noop <= 24.0, (noop, fermion)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_boson_distribution_child_memory_over_noop(tmp_path):
+    # the boson_dist benchmark workload's first command; a 2-vCPU host read 17.8 MB over
+    # the no-op with a tuple basis and 15.3 MB with the array basis
+    path = tmp_path / "u12.json"
+    path.write_text(json.dumps(matrix_to_jsonable(random_haar_unitary(12, seed=12))))
+    noop = child_rss_mb("basis", "--d", "1", "--n", "0")
+    boson = child_rss_mb("distribution", str(path), "--in", ",".join("1" * 6 + "0" * 6))
+    assert boson - noop <= 20.0, (noop, boson)

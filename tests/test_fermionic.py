@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from basis_reference import enumerate_fermion_basis_reference
 
 from bosonsim.fermionic import (
     enumerate_fermion_basis,
@@ -20,13 +21,25 @@ BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def test_basis_enumeration():
-    states = enumerate_fermion_basis(4, 2)
+    states = list(map(tuple, enumerate_fermion_basis(4, 2).tolist()))
     assert len(states) == math.comb(4, 2)
     assert states[0] == (1, 1, 0, 0)
     assert states[-1] == (0, 0, 1, 1)
     assert all(sum(s) == 2 and set(s) <= {0, 1} for s in states)
     # canonical order: lexicographically decreasing occupation vectors
     assert all(a > b for a, b in zip(states, states[1:]))
+
+
+@pytest.mark.parametrize(
+    "d, n", [(d, n) for d in range(1, 9) for n in range(d + 1)] + [(16, 8)]
+)
+def test_basis_matches_tuple_reference(d, n):
+    basis = enumerate_fermion_basis(d, n)
+    assert basis.dtype == np.uint8 and basis.shape == (math.comb(d, n), d)
+    assert np.array_equal(basis, np.array(enumerate_fermion_basis_reference(d, n)))
+    assert len(np.unique(basis, axis=0)) == len(basis)
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 1 - basis[0, 0]
 
 
 def test_basis_size_and_errors():
@@ -39,8 +52,8 @@ def test_basis_size_and_errors():
 
 
 def test_identity_network():
-    for state in enumerate_fermion_basis(3, 2):
-        for other in enumerate_fermion_basis(3, 2):
+    for state in enumerate_fermion_basis(3, 2).tolist():
+        for other in enumerate_fermion_basis(3, 2).tolist():
             amp = fermion_amplitude(np.eye(3), state, other)
             assert np.isclose(amp, 1.0 if state == other else 0.0)
 
@@ -57,13 +70,13 @@ def test_full_occupancy_amplitude_is_determinant():
     det = np.linalg.det(u)
     assert np.isclose(fermion_amplitude(u, ones, ones), det)
     dist = fermion_distribution(u, ones)
-    assert dist.states == (ones,)
+    assert dist.states.tolist() == [list(ones)]
     assert np.isclose(dist.amplitudes[0], det)
 
 
 def test_vacuum_distribution_is_one_outcome():
     dist = fermion_distribution(random_haar_unitary(4, seed=18), (0, 0, 0, 0))
-    assert dist.states == ((0, 0, 0, 0),)
+    assert dist.states.tolist() == [[0, 0, 0, 0]]
     assert dist.amplitudes.tolist() == [1]
 
 
@@ -90,7 +103,7 @@ def test_bose_fermi_dichotomy():
 
 def test_beamsplitter_distribution_is_point_mass():
     dist = fermion_distribution(BEAMSPLITTER, (1, 1))
-    assert dist.states == ((1, 1),)
+    assert dist.states.tolist() == [[1, 1]]
     assert abs(dist.probabilities[0] - 1.0) < 1e-12
 
 

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from basis_reference import enumerate_basis_reference, occupations, row_index
 
 from bosonsim.bosonic import mean_photon_numbers, output_distribution, transition_amplitude
-from bosonsim.fermionic import fermion_distribution
+from bosonsim.fermionic import enumerate_fermion_basis, fermion_distribution
 from bosonsim.fock import (
     basis_size,
     enumerate_basis,
@@ -19,7 +21,7 @@ from bosonsim.fock import (
 
 def test_basis_d2_n2_exact():
     basis = enumerate_basis(2, 2)
-    assert basis == ((2, 0), (1, 1), (0, 2))
+    assert basis.tolist() == [[2, 0], [1, 1], [0, 2]]
     assert len(basis) == 3
 
 
@@ -29,12 +31,12 @@ def test_basis_d3_n2_size():
 
 def test_basis_single_particle_matches_mode_basis():
     basis = enumerate_basis(4, 1)
-    assert basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert basis.tolist() == np.eye(4, dtype=int).tolist()
 
 
 def test_basis_vacuum():
     basis = enumerate_basis(3, 0)
-    assert basis == ((0, 0, 0),)
+    assert basis.tolist() == [[0, 0, 0]]
 
 
 def test_basis_sizes_match_binomial():
@@ -42,12 +44,12 @@ def test_basis_sizes_match_binomial():
         for n in range(0, 7):
             basis = enumerate_basis(d, n)
             assert len(basis) == math.comb(d + n - 1, n)
-            assert len(set(basis)) == len(basis)  # duplicate-free
+            assert len(np.unique(basis, axis=0)) == len(basis)  # duplicate-free
 
 
 def test_canonical_order_endpoints_and_monotonicity():
     for d, n in ((3, 3), (4, 2), (5, 4)):
-        basis = enumerate_basis(d, n)
+        basis = list(map(tuple, enumerate_basis(d, n).tolist()))
         assert basis[0] == (n,) + (0,) * (d - 1)
         assert basis[-1] == (0,) * (d - 1) + (n,)
         # lexicographically decreasing occupations == ascending mode sequences
@@ -56,20 +58,46 @@ def test_canonical_order_endpoints_and_monotonicity():
             assert occupation_to_sequence(a) < occupation_to_sequence(b)
 
 
-def sequence_counting_basis(d, n):
-    """The basis as first built: count the modes of each ascending mode sequence."""
-    basis = []
-    for sequence in combinations_with_replacement(range(d), n):
-        occ = [0] * d
-        for k in sequence:
-            occ[k] += 1
-        basis.append(tuple(occ))
-    return tuple(basis)
-
-
 def test_basis_matches_sequence_counting():
+    # the basis as first built: count the modes of each ascending mode sequence
     for d, n in [(d, n) for d in range(1, 7) for n in range(7)] + [(12, 6)]:
-        assert enumerate_basis(d, n) == sequence_counting_basis(d, n), (d, n)
+        counted = occupations(d, combinations_with_replacement(range(d), n))
+        assert enumerate_basis(d, n).tolist() == list(map(list, counted))
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 7) for n in range(7)] + [(12, 6)])
+def test_basis_matches_tuple_reference(d, n):
+    basis = enumerate_basis(d, n)
+    assert basis.dtype == np.uint8 and basis.shape == (math.comb(d + n - 1, n), d)
+    assert np.array_equal(basis, np.array(enumerate_basis_reference(d, n)))
+    assert len(np.unique(basis, axis=0)) == len(basis)
+    with pytest.raises(ValueError, match="read-only"):
+        basis[-1] = basis[0]
+
+
+@pytest.mark.parametrize("d, n, dtype", [(2, 30000, np.uint16), (1, 10**15, np.uint64)])
+def test_basis_dtype_holds_n(d, n, dtype):
+    basis = enumerate_basis(d, n)
+    assert basis.dtype == dtype
+    assert basis.tolist() == list(map(list, enumerate_basis_reference(d, n)))
+
+
+@pytest.mark.parametrize(
+    "build, d, n, bound_mb",
+    [(enumerate_fermion_basis, 22, 11, 40), (enumerate_basis, 12, 8, 4)],
+    ids=["fermion-d22-n11", "boson-d12-n8"],
+)
+def test_basis_build_peak_memory(build, d, n, bound_mb):
+    # the array is K*d bytes (15.5 MB and 0.9 MB); a tuple basis of Python ints held
+    # 159 MB and 11 MB, and int64 mode indices would take the fermion one to 83 MB
+    tracemalloc.start()
+    try:
+        basis = build(d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
+    assert basis.shape[1] == d and basis.dtype == np.uint8
 
 
 def test_basis_cap_enforced():
@@ -112,9 +140,9 @@ def test_indexings_are_mutually_inverse():
     # exhaustive over all states with d <= 5, n <= 5
     for d in range(1, 6):
         for n in range(0, 6):
-            for occ in enumerate_basis(d, n):
+            for occ in enumerate_basis(d, n).tolist():
                 seq = occupation_to_sequence(occ)
-                assert sequence_to_occupation(seq, d) == occ
+                assert sequence_to_occupation(seq, d) == tuple(occ)
                 assert len(seq) == n
                 assert all(x <= y for x, y in zip(seq, seq[1:]))
 
@@ -190,13 +218,13 @@ def test_integral_floats_and_numpy_integers_accepted():
 
 def test_index_of_first_state():
     basis = enumerate_basis(2, 2)
-    assert basis.index((2, 0)) == 0
+    assert row_index(basis, (2, 0)) == 0
 
 
 def test_index_roundtrip():
     basis = enumerate_basis(3, 3)
     for i in range(len(basis)):
-        assert basis.index(basis[i]) == i
+        assert row_index(basis, basis[i]) == i
 
 
 def test_index_of_last_state():
@@ -204,23 +232,25 @@ def test_index_of_last_state():
     for d, n in ((3, 2), (4, 3), (5, 2)):
         basis = enumerate_basis(d, n)
         last = (0,) * (d - 1) + (n,)
-        assert basis.index(last) == math.comb(d + n - 1, n) - 1
+        assert row_index(basis, last) == math.comb(d + n - 1, n) - 1
 
 
 def test_index_of_rejects_foreign_states():
     basis = enumerate_basis(3, 2)
     with pytest.raises(ValueError):
-        basis.index((1, 1, 1))  # wrong particle number
+        row_index(basis, (1, 1, 1))  # wrong particle number
     with pytest.raises(ValueError):
-        basis.index((2, 0))  # wrong dimension
+        row_index(basis, (2, 0))  # wrong dimension
 
 
 def test_basis_is_iterable_and_immutable():
     basis = enumerate_basis(2, 1)
-    assert list(basis) == [(1, 0), (0, 1)]
-    assert isinstance(basis, tuple)
-    with pytest.raises(TypeError):
+    assert [tuple(row) for row in basis] == [(1, 0), (0, 1)]
+    assert isinstance(basis, np.ndarray) and basis.shape == (2, 2)
+    with pytest.raises(ValueError, match="read-only"):
         basis[0] = (0, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        basis[1, 1] = 0
 
 
 def test_format_state():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from basis_reference import row_index
 
 from bosonsim.bosonic import OutputDistribution, output_distribution
 from bosonsim.errors import ValidationError
@@ -13,11 +14,10 @@ def make_distribution(probs, d=None):
     """Hand-built distribution over dummy single-mode labels."""
     probs = np.asarray(probs, dtype=float)
     d = d or len(probs)
-    states = tuple(
-        tuple(1 if j == i else 0 for j in range(d)) for i in range(len(probs))
-    )
+    states = np.eye(len(probs), d, dtype=np.uint8)
+    states.flags.writeable = False
     return OutputDistribution(
-        input_state=states[0],
+        input_state=tuple(states[0].tolist()),
         states=states,
         amplitudes=np.sqrt(np.abs(probs)).astype(complex),
         probabilities=probs,
@@ -27,7 +27,7 @@ def make_distribution(probs, d=None):
 def test_point_mass_all_samples_land_on_it():
     dist = output_distribution(np.eye(3), (1, 0, 1))
     counts = sample(dist, count=1000, seed=1)
-    idx = dist.states.index((1, 0, 1))
+    idx = row_index(dist.states, (1, 0, 1))
     assert counts[idx] == 1000
     assert counts.sum() == 1000
 
