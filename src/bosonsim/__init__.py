@@ -9,8 +9,6 @@ is something you can run and test rather than just cite.
 
 from .bosonic import (
     OutputDistribution,
-    distribution_to_csv,
-    distribution_to_jsonable,
     mean_photon_numbers,
     output_distribution,
     symmetric_power_matrix,
@@ -57,8 +55,6 @@ __all__ = [
     "check_orthogonal",
     "check_symplectic",
     "chi_square_gof",
-    "distribution_to_csv",
-    "distribution_to_jsonable",
     "enumerate_basis",
     "enumerate_fermion_basis",
     "fermion_amplitude",

@@ -13,11 +13,11 @@ one permanent per entry.
 
 One private builder, ``_amplitude_matrix``, makes every amplitude, boson or
 fermion: one outcome or a whole basis, from one input or many, each a (K, d)
-occupation array as the basis is.  It evaluates the submatrices in stacked
-blocks of outcomes (``permanents.submatrix_kernel``) and divides by
-sqrt(Gamma_in * Gamma_out), an exact integer rounded once, so
-``transition_amplitude``, ``output_distribution`` and
-``symmetric_power_matrix`` agree to the last bit.  One private routine,
+occupation array as the basis is.  It hands the outcome rows to
+``permanents.submatrix_kernel``, which evaluates their submatrices in stacked
+blocks of outcomes, and divides by sqrt(Gamma_in * Gamma_out), an exact
+integer rounded once, so ``transition_amplitude``, ``output_distribution``
+and ``symmetric_power_matrix`` agree to the last bit.  One private routine,
 ``_distribution``, makes the boson and the fermion distribution alike; the
 two differ only in their occupation check, their basis and their kernel.
 
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DEFAULT_BASIS_CAP, enumerate_basis, validate_occupation
-from .formatting import format_float
 from .permanents import _glynn, as_square_matrix, check_permanent_size, submatrix_kernel
 
 
@@ -52,9 +51,8 @@ class OutputDistribution:
 
     ``states`` is the basis as enumerated, a read-only (K, d) array.  Two
     distributions compare equal, and hash alike, only when they are one object.
-    ``probabilities`` holds the raw |amplitude|^2 values; clamping of
-    floating-point dust happens only at presentation time
-    (``clamped_probabilities``) so normalization checks see the real sum.
+    ``probabilities`` holds |amplitude|^2, never negative, so normalization
+    checks see the real sum.  Rendering it as JSON or CSV is the CLI's job.
     """
 
     input_state: tuple[int, ...]
@@ -67,9 +65,6 @@ class OutputDistribution:
 
     def normalization(self) -> float:
         return float(self.probabilities.sum())
-
-    def clamped_probabilities(self) -> np.ndarray:
-        return np.clip(self.probabilities, 0.0, None)
 
 
 def _check_mode_count(unitary, state: tuple[int, ...]) -> np.ndarray:
@@ -96,21 +91,18 @@ def _amplitude_matrix(u: np.ndarray, outcomes, inputs, kernel) -> np.ndarray:
     ``outcomes`` and ``inputs`` are (K, d) and (J, d) occupation arrays.
     ``kernel`` is ``_glynn`` for bosons and ``numpy.linalg.det`` for fermions.
     Outcome k's submatrix repeats row j of U outcomes[k, j] times, in ascending
-    mode order, over the input's repeated columns, and ``submatrix_kernel``
-    evaluates the submatrices of all outcomes in blocks.  Each amplitude is
-    divided by sqrt(Gamma_in * Gamma_out), the exact product of factorials
-    rounded once.
+    mode order, over the input's repeated columns; ``submatrix_kernel`` builds
+    those rows and evaluates the submatrices of all outcomes in blocks.  Each
+    amplitude is divided by sqrt(Gamma_in * Gamma_out), the exact product of
+    factorials rounded once.
     """
     (k, d), n = outcomes.shape, int(inputs[0].sum())
-    # the narrowest mode index keeps this temporary, and the CLI's peak RSS, small
-    modes = np.arange(d, dtype=np.min_scalar_type(d - 1))
-    rows = np.repeat(np.tile(modes, k), outcomes.ravel()).reshape(k, n)
     factorial = [math.factorial(r) for r in range(n + 1)]
     bunched = np.flatnonzero((outcomes > 1).any(axis=1))
     gamma_out = [math.prod(map(factorial.__getitem__, occ)) for occ in outcomes[bunched].tolist()]
     amplitudes = np.empty((k, len(inputs)), dtype=np.complex128)
     for j, inp in enumerate(inputs.tolist()):
-        column = submatrix_kernel(kernel, u[:, np.repeat(np.arange(d), inp)], rows)
+        column = submatrix_kernel(kernel, u[:, np.repeat(np.arange(d), inp)], outcomes)
         gamma_in = math.prod(map(factorial.__getitem__, inp))
         norm = np.full(k, math.sqrt(gamma_in))  # Gamma_out = 1 where no mode is bunched
         exact = (gamma_in * g for g in gamma_out)
@@ -172,29 +164,3 @@ def mean_photon_numbers(unitary, input_state) -> np.ndarray:
     inp = validate_occupation(input_state)
     u = _check_mode_count(unitary, inp)
     return (np.abs(u) ** 2) @ np.asarray(inp, dtype=float)
-
-
-def distribution_to_jsonable(dist: OutputDistribution) -> dict:
-    """Distribution payload: input state, then one record per outcome."""
-    columns = zip(
-        dist.states.tolist(),
-        dist.clamped_probabilities().tolist(),
-        dist.amplitudes.real.tolist(),
-        dist.amplitudes.imag.tolist(),
-    )
-    return {
-        "input": [int(r) for r in dist.input_state],
-        "outcomes": [
-            {"state": state, "probability": p, "amplitude": [re, im]}
-            for state, p, re, im in columns
-        ],
-    }
-
-
-def distribution_to_csv(dist: OutputDistribution) -> str:
-    """CSV rendering, one `state;probability` row per outcome."""
-    probs = dist.clamped_probabilities()
-    lines = ["state;probability"]
-    for i, state in enumerate(dist.states.tolist()):
-        lines.append(",".join(str(r) for r in state) + ";" + format_float(float(probs[i])))
-    return "\n".join(lines) + "\n"

@@ -10,8 +10,10 @@ Exit codes: 0 on success, 2 on input errors, 3 on numerical validation
 failures.  Input errors are malformed files, dimension mismatches and
 oversized requests: past the basis cap or the permanent size guard, too
 large to allocate, or with numbers past double range.  Each input is
-checked once, by the library function that uses it.
-All floating-point output uses 17 significant digits so runs are
+checked once, by the library function that uses it.  Output into a pipe
+that the reader has closed also exits 2, with one error line.  The CLI
+renders distributions itself, as JSON or, a block of outcomes at a time, as
+CSV; all floating-point output uses 17 significant digits so runs are
 byte-for-byte reproducible.
 """
 
@@ -19,14 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
-from . import bosonic, fermionic, fock, sampling, transforms
+from . import bosonic, fermionic, fock, permanents, sampling, transforms
 from .errors import ValidationError
 from .formatting import format_complex, format_float, render_json
-from .permanents import permanent_glynn, permanent_naive
 
 
 def _load_matrix(path: str):
@@ -44,7 +46,7 @@ def _load_unitary(args):
 
 def cmd_permanent(args) -> int:
     m = _load_matrix(args.matrix)
-    kernel = permanent_naive if args.naive else permanent_glynn
+    kernel = permanents.permanent_naive if args.naive else permanents.permanent_glynn
     print(f"permanent = {format_complex(kernel(m))}")
     return 0
 
@@ -72,11 +74,33 @@ def cmd_distribution(args) -> int:
     inp = fock.parse_state(args.input_state)
     compute = fermionic.fermion_distribution if args.fermion else bosonic.output_distribution
     dist = compute(u, inp, cap=args.cap)
-    if args.format == "csv":
-        sys.stdout.write(bosonic.distribution_to_csv(dist))
-    else:
-        print(render_json(bosonic.distribution_to_jsonable(dist)))
+    if args.format == "json":
+        print(render_json(_distribution_to_jsonable(dist)))
+        return 0
+    # CSV, written a block of outcomes at a time; + 0.0 prints -0.0 as 0, as format_float does
+    print("state;probability")
+    for lo in range(0, len(dist), permanents.OUTCOME_BLOCK):
+        hi = lo + permanents.OUTCOME_BLOCK
+        rows = zip(dist.states[lo:hi].tolist(), dist.probabilities[lo:hi].tolist())
+        sys.stdout.write("".join(f"{','.join(map(str, s))};{p + 0.0:.17g}\n" for s, p in rows))
     return 0
+
+
+def _distribution_to_jsonable(dist) -> dict:
+    """Distribution payload: input state, then one record per outcome."""
+    columns = zip(
+        dist.states.tolist(),
+        dist.probabilities.tolist(),
+        dist.amplitudes.real.tolist(),
+        dist.amplitudes.imag.tolist(),
+    )
+    return {
+        "input": [int(r) for r in dist.input_state],
+        "outcomes": [
+            {"state": state, "probability": p, "amplitude": [re, im]}
+            for state, p, re, im in columns
+        ],
+    }
 
 
 def cmd_expect(args) -> int:
@@ -98,7 +122,7 @@ def cmd_sample(args) -> int:
     dist = bosonic.output_distribution(u, inp, cap=args.cap)
     counts = sampling.sample(dist, count=args.count, seed=args.seed)
     gof = sampling.chi_square_gof(counts, dist)
-    expected = dist.clamped_probabilities() * args.count
+    expected = dist.probabilities * args.count
     # one template per outcome: a list of ints prints as its JSON array, as in render_json,
     # and + 0.0 prints -0.0 as 0, as format_float does
     records = ", ".join(
@@ -219,7 +243,9 @@ def main(argv=None) -> int:
     try:
         # a value past double range is refused rather than printed as inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone fails here, not in the flush at exit
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -228,6 +254,10 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (ValueError, OSError, OverflowError, FloatingPointError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: drop what stdout still buffers, or the flush at exit fails too
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

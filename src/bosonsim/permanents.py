@@ -16,12 +16,13 @@ algorithm for it.  Two kernels are provided:
 
 ``submatrix_kernel`` evaluates the submatrices of every amplitude, one
 outcome or a whole distribution's, for the one amplitude builder in
-``bosonic``: it stacks them ``OUTCOME_BLOCK`` = 512 at a time and makes one
-kernel call per block, ``_glynn`` for bosons and ``numpy.linalg.det`` for
-fermions.  Blocks bound the stack (a whole C(22,11)-outcome one takes 1.4 GB),
-and blocks of 512 keep peak RSS where one outcome at a time kept it: freeing a
-stack of several MB raises glibc's mmap threshold, and later allocations then
-stay in RSS.
+``bosonic``.  From the outcomes' occupation rows it builds the submatrix rows
+of ``OUTCOME_BLOCK`` = 512 outcomes at a time and makes one kernel call per
+block, ``_glynn`` for bosons and ``numpy.linalg.det`` for fermions.  Blocks
+bound the stack and the row indices (for all C(22,11) outcomes at once, the
+stack takes 1.4 GB and the ``intp`` repeat counts 124 MB), and blocks of 512
+keep peak RSS where one outcome at a time kept it: freeing a stack of several
+MB raises glibc's mmap threshold, and later allocations then stay in RSS.
 
 All accumulation is in double precision.  On Haar submatrices, with distinct
 and with pairwise-repeated rows (3 of each per size), the measured relative
@@ -122,8 +123,13 @@ def permanent_glynn(matrix) -> complex:
     return complex(_glynn(a))
 
 
-def submatrix_kernel(kernel, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``kernel`` of each submatrix ``cols[rows[k]]`` (outcome k's rows of the input columns)."""
-    blocks = range(0, len(rows), OUTCOME_BLOCK)
-    return np.concatenate([kernel(cols[rows[lo : lo + OUTCOME_BLOCK]]) for lo in blocks])
-
+def submatrix_kernel(kernel, cols: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """``kernel`` of each outcome's submatrix: row j of ``cols`` repeated outcomes[k, j] times."""
+    d, n = cols.shape
+    modes = np.tile(np.arange(d), OUTCOME_BLOCK)
+    values = np.empty(len(outcomes), dtype=np.complex128)
+    for lo in range(0, len(outcomes), OUTCOME_BLOCK):
+        block = outcomes[lo : lo + OUTCOME_BLOCK]
+        rows = np.repeat(modes[: block.size], block.ravel()).reshape(len(block), n)
+        values[lo : lo + len(block)] = kernel(cols[rows])
+    return values

@@ -46,7 +46,7 @@ def sample(dist: OutputDistribution, count: int, seed: int) -> np.ndarray:
         raise ValidationError(
             f"distribution is not normalized: sum = {total!r} (tol {NORMALIZATION_TOL})"
         )
-    cdf = np.cumsum(dist.clamped_probabilities())
+    cdf = np.cumsum(dist.probabilities)
     draws = np.random.default_rng(seed).random(count)
     draws.sort()
     # the cdf never decreases, so a draw lands in bins 0..j exactly when it is
@@ -67,7 +67,7 @@ def chi_square_gof(counts: np.ndarray, dist: OutputDistribution) -> ChiSquareRes
     if len(counts) != len(dist):
         raise ValueError(f"{len(counts)} counts for a distribution of {len(dist)} outcomes")
     observed = np.asarray(counts, dtype=float)
-    expected = dist.clamped_probabilities() * observed.sum()
+    expected = dist.probabilities * observed.sum()
 
     keep = expected >= MIN_EXPECTED
     exp_bins = list(expected[keep])

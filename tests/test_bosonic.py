@@ -7,8 +7,6 @@ from basis_reference import row_index
 
 from bosonsim import bosonic, permanents
 from bosonsim.bosonic import (
-    distribution_to_csv,
-    distribution_to_jsonable,
     mean_photon_numbers,
     output_distribution,
     symmetric_power_matrix,
@@ -351,27 +349,3 @@ def test_global_phase_leaves_observables_unchanged():
         mean_photon_numbers(u, inp) - mean_photon_numbers(phased, inp)
     ).max() < 1e-10
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_distribution_jsonable_shape():
-    dist = output_distribution(BEAMSPLITTER, (1, 1))
-    payload = distribution_to_jsonable(dist)
-    assert payload["input"] == [1, 1]
-    assert [o["state"] for o in payload["outcomes"]] == [[2, 0], [1, 1], [0, 2]]
-    assert all(type(r) is int for o in payload["outcomes"] for r in o["state"])
-    assert all(o["probability"] >= 0.0 for o in payload["outcomes"])
-    amp = payload["outcomes"][0]["amplitude"]
-    assert abs(complex(amp[0], amp[1]) - 1 / math.sqrt(2)) < 1e-12
-
-
-def test_distribution_csv_shape():
-    dist = output_distribution(BEAMSPLITTER, (1, 1))
-    lines = distribution_to_csv(dist).strip().split("\n")
-    assert lines[0] == "state;probability"
-    assert len(lines) == 4
-    state, prob = lines[1].split(";")
-    assert state == "2,0"
-    assert abs(float(prob) - 0.5) < 1e-12

@@ -11,7 +11,7 @@ import pytest
 from json_reference import render_json_reference
 
 import bosonsim
-from bosonsim import cli
+from bosonsim import cli, permanents
 from bosonsim.cli import main
 from bosonsim.sampling import chi_square_gof, sample
 from bosonsim.transforms import matrix_to_jsonable, random_haar_unitary
@@ -159,7 +159,52 @@ def test_distribution_csv(bs_file, capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "state;probability"
     assert len(lines) == 4
-    assert lines[1].split(";")[0] == "2,0"
+    state, prob = lines[1].split(";")
+    assert state == "2,0"
+    assert abs(float(prob) - 0.5) < 1e-12
+
+
+def test_distribution_jsonable_shape():
+    dist = cli.bosonic.output_distribution(BEAMSPLITTER, (1, 1))
+    payload = cli._distribution_to_jsonable(dist)
+    assert payload["input"] == [1, 1]
+    assert [o["state"] for o in payload["outcomes"]] == [[2, 0], [1, 1], [0, 2]]
+    assert all(type(r) is int for o in payload["outcomes"] for r in o["state"])
+    assert all(o["probability"] >= 0.0 for o in payload["outcomes"])
+    amp = payload["outcomes"][0]["amplitude"]
+    assert abs(complex(amp[0], amp[1]) - 1 / np.sqrt(2)) < 1e-12
+
+
+# 792 bunched boson outcomes and 715 fermion ones: full and ragged blocks, 7-blocks, singletons
+@pytest.mark.parametrize("block", [1, 7, 512])
+@pytest.mark.parametrize(
+    "d, seed, inp, flags",
+    [
+        (8, 24, (2, 1, 1, 1, 0, 0, 0, 0), ()),
+        (13, 23, (1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0), ("--fermion",)),
+    ],
+    ids=["boson-d8-bunched", "fermion-d13-n4"],
+)
+def test_distribution_csv_blocks_match_row_by_row(
+    tmp_path, capsys, monkeypatch, block, d, seed, inp, flags
+):
+    u = random_haar_unitary(d, seed=seed)
+    compute = cli.fermionic.fermion_distribution if flags else cli.bosonic.output_distribution
+    dist = compute(u, inp)
+    reference = "state;probability\n" + "".join(
+        ",".join(str(int(r)) for r in state) + ";" + format(float(p) + 0.0, ".17g") + "\n"
+        for state, p in zip(dist.states, dist.probabilities)
+    )
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(matrix_to_jsonable(u)))
+    monkeypatch.setattr(permanents, "OUTCOME_BLOCK", block)
+    state = ",".join(map(str, inp))
+    code, out, err = run_cli(
+        capsys, "distribution", str(path), "--in", state, *flags, "--format", "csv"
+    )
+    assert code == 0, err
+    assert len(out.splitlines()) == len(dist) + 1
+    assert out == reference
 
 
 def test_expect_matches_distribution_first_moment(tmp_path, capsys):
@@ -450,7 +495,7 @@ def sample_payload_by_dict(inp, dist, count, seed):
     """``sample``'s stdout as first written: a nested dict through the reference serializer."""
     counts = sample(dist, count=count, seed=seed)
     gof = chi_square_gof(counts, dist)
-    expected = dist.clamped_probabilities() * count
+    expected = dist.probabilities * count
     payload = {
         "input": [int(r) for r in inp],
         "seed": seed,
@@ -565,3 +610,51 @@ def test_boson_distribution_child_memory_over_noop(tmp_path):
     noop = child_rss_mb("basis", "--d", "1", "--n", "0")
     boson = child_rss_mb("distribution", str(path), "--in", ",".join("1" * 6 + "0" * 6))
     assert boson - noop <= 20.0, (noop, boson)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_fermion_csv_child_memory_over_noop(tmp_path):
+    # the fermion_dist benchmark workload's second command; over 11 interleaved runs a
+    # 2-vCPU host read 6.24-6.95 MB over the no-op when the whole CSV was one string,
+    # and 1.88-2.40 MB when it is written a block of outcomes at a time
+    path = tmp_path / "u16.json"
+    path.write_text(json.dumps(matrix_to_jsonable(random_haar_unitary(16, seed=16))))
+    noop = child_rss_mb("basis", "--d", "1", "--n", "0")
+    state = ",".join("1" * 8 + "0" * 8)
+    fermion = child_rss_mb("distribution", str(path), "--in", state, "--fermion", "--format", "csv")
+    assert fermion - noop <= 4.5, (noop, fermion)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (("distribution", "u16.json", "--in", ",".join("1" * 8 + "0" * 8), "--fermion",
+          "--format", "csv"), 100),
+        (("basis", "--d", "3", "--n", "2"), 0),  # all of it still buffered at exit
+    ],
+    ids=["fermion-csv-after-100-bytes", "small-basis-no-reader"],
+)
+def test_output_into_closed_pipe_exits_2_with_one_error_line(tmp_path, argv, read, unbuffered):
+    # the reader leaves early; Python flushes stdout again at exit, which must not fail
+    # a second time (an "Exception ignored" line and exit code 120)
+    (tmp_path / "u16.json").write_text(
+        json.dumps(matrix_to_jsonable(random_haar_unitary(16, seed=16)))
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(bosonsim.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bosonsim.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    assert err == "error: [Errno 32] Broken pipe\n", err

@@ -17,6 +17,7 @@ from bosonsim.fock import (
     parse_state,
     sequence_to_occupation,
 )
+from bosonsim.transforms import random_haar_unitary
 
 
 def test_basis_d2_n2_exact():
@@ -98,6 +99,22 @@ def test_basis_build_peak_memory(build, d, n, bound_mb):
         tracemalloc.stop()
     assert peak <= bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
     assert basis.shape[1] == d and basis.dtype == np.uint8
+
+
+def test_fermion_distribution_peak_memory():
+    # 184 756 outcomes: the basis (3.7 MB), amplitudes and probabilities (4.4 MB) and
+    # one outcome block's temporaries read 12.6 MB; building every outcome's submatrix
+    # rows at once, with the repeat counts cast to intp, read 38.8 MB
+    u = random_haar_unitary(20, seed=20)
+    inp = (1,) * 10 + (0,) * 10
+    tracemalloc.start()
+    try:
+        dist = fermion_distribution(u, inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"peak {peak / 1e6:.1f} MB"
+    assert len(dist) == math.comb(20, 10)
 
 
 def test_basis_cap_enforced():

@@ -133,7 +133,7 @@ def test_gof_bin_count_mismatch():
 
 def inverse_cdf_counts(dist, count, seed):
     """Reference binning: look each draw up in the CDF; the last bin takes any draw past it."""
-    cdf = np.cumsum(dist.clamped_probabilities())
+    cdf = np.cumsum(dist.probabilities)
     draws = np.random.default_rng(seed).random(count)
     indices = np.minimum(np.searchsorted(cdf, draws, side="right"), len(dist) - 1)
     return np.bincount(indices, minlength=len(dist))
@@ -159,7 +159,7 @@ SCALED = np.array([0.0, 0.3, 0.0, 0.0, 0.45, 0.0, 0.25, 0.0])
         make_distribution(SCALED),  # zero-probability bins, first and last among them
         make_distribution(SCALED * (1 - 5e-10)),  # CDF ends just below 1
         make_distribution(SCALED * (1 + 5e-10)),  # CDF ends just above 1
-        make_distribution([0.5, 0.6, -0.1]),  # clamping lifts the CDF to 1.1
+        make_distribution([0.5, 0.6, -0.1]),  # the CDF overshoots to 1.1, then ends at 1.0
         make_distribution(np.full(1000, 1e-3)),  # a long cumulative sum, off 1 by rounding
         SHORT,  # draws past the CDF's end land in the last bin
     ],
