@@ -1,11 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from basis_reference import row_index
 
-from bosonsim import bosonic, permanents
+from bosonsim import bosonic, cli, permanents
 from bosonsim.bosonic import (
     mean_photon_numbers,
     output_distribution,
@@ -14,7 +15,7 @@ from bosonsim.bosonic import (
 )
 from bosonsim.fock import enumerate_basis, normalization_gamma, occupation_to_sequence
 from bosonsim.permanents import permanent_glynn, permanent_naive
-from bosonsim.transforms import random_haar_unitary
+from bosonsim.transforms import matrix_to_jsonable, random_haar_unitary
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -349,3 +350,21 @@ def test_global_phase_leaves_observables_unchanged():
         mean_photon_numbers(u, inp) - mean_photon_numbers(phased, inp)
     ).max() < 1e-10
 
+
+
+# ---------------------------------------------------------------------------
+# serialization
+# ---------------------------------------------------------------------------
+
+def test_distribution_csv_shape(tmp_path, capsys):
+    dist = output_distribution(BEAMSPLITTER, (1, 1))
+    path = tmp_path / "beamsplitter.json"
+    path.write_text(json.dumps(matrix_to_jsonable(BEAMSPLITTER)))
+    assert cli.main(["distribution", str(path), "--in", "1,1", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "state;probability"
+    assert len(lines) == len(dist) + 1 == 4
+    state, prob = lines[1].split(";")
+    assert state == "2,0"
+    assert abs(float(prob) - 0.5) < 1e-12
+    assert [float(line.split(";")[1]) for line in lines[1:]] == dist.probabilities.tolist()
