@@ -27,10 +27,7 @@ from .fock import (
     basis_size,
     enumerate_basis,
     format_state,
-    normalization_gamma,
-    occupation_to_sequence,
     parse_state,
-    sequence_to_occupation,
 )
 from .permanents import permanent_glynn, permanent_naive
 from .sampling import ChiSquareResult, chi_square_gof, sample
@@ -41,7 +38,6 @@ from .transforms import (
     matrix_to_jsonable,
     random_haar_unitary,
     realify,
-    symplectic_form,
     unitarity_deviation,
     validate_unitary,
 )
@@ -65,8 +61,6 @@ __all__ = [
     "matrix_from_jsonable",
     "matrix_to_jsonable",
     "mean_photon_numbers",
-    "normalization_gamma",
-    "occupation_to_sequence",
     "output_distribution",
     "parse_state",
     "permanent_glynn",
@@ -74,9 +68,7 @@ __all__ = [
     "random_haar_unitary",
     "realify",
     "sample",
-    "sequence_to_occupation",
     "symmetric_power_matrix",
-    "symplectic_form",
     "transition_amplitude",
     "unitarity_deviation",
     "validate_unitary",

@@ -92,24 +92,27 @@ def _amplitude_matrix(u: np.ndarray, outcomes, inputs, kernel) -> np.ndarray:
     ``kernel`` is ``_glynn`` for bosons and ``numpy.linalg.det`` for fermions.
     Outcome k's submatrix repeats row j of U outcomes[k, j] times, in ascending
     mode order, over the input's repeated columns; ``submatrix_kernel`` builds
-    those rows and evaluates the submatrices of all outcomes in blocks.  Each
-    amplitude is divided by sqrt(Gamma_in * Gamma_out), the exact product of
-    factorials rounded once.
+    those rows and evaluates the submatrices of all outcomes in blocks, into the
+    input's column of the result.  Each amplitude is then divided there by
+    sqrt(Gamma_in * Gamma_out), the exact product of factorials rounded once.
     """
     (k, d), n = outcomes.shape, int(inputs[0].sum())
     factorial = [math.factorial(r) for r in range(n + 1)]
-    bunched = np.flatnonzero((outcomes > 1).any(axis=1))
+    bunched = np.flatnonzero(outcomes.max(axis=1) > 1)  # Gamma_out = 1 on every other row
     gamma_out = [math.prod(map(factorial.__getitem__, occ)) for occ in outcomes[bunched].tolist()]
     amplitudes = np.empty((k, len(inputs)), dtype=np.complex128)
     for j, inp in enumerate(inputs.tolist()):
-        column = submatrix_kernel(kernel, u[:, np.repeat(np.arange(d), inp)], outcomes)
+        column = amplitudes[:, j]
+        submatrix_kernel(kernel, u[:, np.repeat(np.arange(d), inp)], outcomes, column)
         gamma_in = math.prod(map(factorial.__getitem__, inp))
-        norm = np.full(k, math.sqrt(gamma_in))  # Gamma_out = 1 where no mode is bunched
+        raw = column[bunched]  # a copy, so these rows are divided once, from the kernel value
         exact = (gamma_in * g for g in gamma_out)
-        norm[bunched] = np.sqrt(np.fromiter(exact, float, count=len(gamma_out)))
+        norm = np.sqrt(np.fromiter(exact, float, count=len(gamma_out)))
         # part by part, bit for bit as Python's complex / float (numpy's complex division is not)
-        amplitudes[:, j].real = column.real / norm
-        amplitudes[:, j].imag = column.imag / norm
+        column.real /= math.sqrt(gamma_in)
+        column.imag /= math.sqrt(gamma_in)
+        column.real[bunched] = raw.real / norm
+        column.imag[bunched] = raw.imag / norm
     return amplitudes
 
 

@@ -1,15 +1,13 @@
 """Fock states of n indistinguishable bosons in d modes.
 
-A state is labeled either by an occupation vector (r_1, ..., r_d) of
-nonnegative counts summing to n, or equivalently by the nondecreasing
-sequence (j_1 <= ... <= j_n) of the modes each particle sits in (modes are
-numbered 1..d in sequences).  Occupation vectors are the primary
-representation here; sequences are a view.  A whole basis is a read-only
-(K, d) integer array, one state per row, and every layer reads that one form.
+A state is labeled by its occupation vector (r_1, ..., r_d) of nonnegative
+counts summing to n.  A whole basis is a read-only (K, d) integer array, one
+state per row, and every layer reads that one form.
 
 The canonical basis order is lexicographically decreasing occupation
 vectors -- (n, 0, ..., 0) first, (0, ..., 0, n) last -- which is the same
-as ascending lexicographic order on mode sequences.
+as ascending lexicographic order on the nondecreasing sequences of the modes
+each particle sits in.
 """
 
 from __future__ import annotations
@@ -64,48 +62,6 @@ def validate_occupation(occupation: Sequence[int]) -> tuple[int, ...]:
     if any(r < 0 for r in occ):
         raise ValueError(f"occupation numbers must be nonnegative, got {occ}")
     return occ
-
-
-def sequence_to_occupation(sequence: Sequence[int], d: int) -> tuple[int, ...]:
-    """Count how often each mode appears in a nondecreasing mode sequence.
-
-    Sequence entries are 1-based mode labels in 1..d.
-    """
-    if d < 1:
-        raise ValueError("need at least one mode")
-    seq = tuple(int(j) for j in sequence)
-    occ = [0] * d
-    prev = 1
-    for j in seq:
-        if j < 1 or j > d:
-            raise ValueError(f"mode index {j} out of range 1..{d}")
-        if j < prev:
-            raise ValueError(f"mode sequence must be nondecreasing, got {seq}")
-        occ[j - 1] += 1
-        prev = j
-    return tuple(occ)
-
-
-def occupation_to_sequence(occupation: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of sequence_to_occupation; output is nondecreasing, 1-based."""
-    occ = validate_occupation(occupation)
-    seq: list[int] = []
-    for mode, r in enumerate(occ, start=1):
-        seq.extend([mode] * r)
-    return tuple(seq)
-
-
-def normalization_gamma(occupation: Sequence[int]) -> int:
-    """Product of factorials of the occupation numbers, Gamma = prod r_k!.
-
-    Exact (arbitrary-precision) integer; Gamma = 1 exactly when no mode
-    holds more than one particle.
-    """
-    occ = validate_occupation(occupation)
-    gamma = 1
-    for r in occ:
-        gamma *= math.factorial(r)
-    return gamma
 
 
 _STATE_RE = re.compile(r"^\s*(?:\||∣)?\s*([0-9,\s]+?)\s*(?:⟩|>)?\s*$")

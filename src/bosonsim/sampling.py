@@ -70,25 +70,20 @@ def chi_square_gof(counts: np.ndarray, dist: OutputDistribution) -> ChiSquareRes
     expected = dist.probabilities * observed.sum()
 
     keep = expected >= MIN_EXPECTED
-    exp_bins = list(expected[keep])
-    obs_bins = list(observed[keep])
-    small_exp = float(expected[~keep].sum())
-    small_obs = float(observed[~keep].sum())
-    if (~keep).any():
-        if small_exp >= MIN_EXPECTED or not exp_bins:
-            exp_bins.append(small_exp)
-            obs_bins.append(small_obs)
+    exp_bins, obs_bins = expected[keep], observed[keep]
+    if not keep.all():
+        small_exp, small_obs = expected[~keep].sum(), observed[~keep].sum()
+        if small_exp >= MIN_EXPECTED or not keep.any():
+            exp_bins, obs_bins = np.append(exp_bins, small_exp), np.append(obs_bins, small_obs)
         else:
-            i = int(np.argmin(exp_bins))
+            i = exp_bins.argmin()
             exp_bins[i] += small_exp
             obs_bins[i] += small_obs
 
     bins = len(exp_bins)
     if bins == 1:  # a point mass (or an empty run): nothing to test against
         return ChiSquareResult(statistic=0.0, p_value=1.0, degrees_of_freedom=0, bins=1)
-    exp_arr = np.asarray(exp_bins)
-    obs_arr = np.asarray(obs_bins)
-    statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
+    statistic = float(((obs_bins - exp_bins) ** 2 / exp_bins).sum())
     dof = bins - 1
     p_value = float(chdtrc(dof, statistic))
     return ChiSquareResult(

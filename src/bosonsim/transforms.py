@@ -79,20 +79,16 @@ def realify(unitary) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def symplectic_form(d: int) -> np.ndarray:
-    """The 2d x 2d matrix J = [[0, I], [-I, 0]]; J @ J = -I exactly."""
-    j = np.zeros((2 * d, 2 * d))
-    j[:d, d:] = np.eye(d)
-    j[d:, :d] = -np.eye(d)
-    return j
-
-
 def check_symplectic(matrix, tol: float = 1e-9) -> tuple[bool, float]:
-    """Whether A^T J A = J within ``tol``; returns (ok, max-norm deviation)."""
+    """Whether A^T J A = J within ``tol``, for J = [[0, I], [-I, 0]] of A's size.
+
+    Returns (ok, max-norm deviation).
+    """
     a = as_square_matrix(matrix, dtype=float)
     if a.shape[0] % 2:
         raise ValueError("symplectic matrices have even dimension")
-    j = symplectic_form(a.shape[0] // 2)
+    d = a.shape[0] // 2
+    j = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
     dev = float(np.abs(a.T @ j @ a - j).max())
     return dev <= tol, dev
 

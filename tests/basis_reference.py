@@ -5,8 +5,11 @@ build a read-only (K, d) array with numpy; these copies build the same basis
 as a tuple of occupation tuples in pure Python, so a test that compares the
 two checks the library against code it does not share.  ``row_index`` finds a
 state's row in an array basis, as ``tuple.index`` did in the tuple one.
+``mode_sequence`` and ``gamma`` give a state's modes and its normalization
+Gamma for tests that build amplitudes by hand.
 """
 
+import math
 from itertools import combinations, combinations_with_replacement
 from operator import sub
 from typing import Iterable, Iterator, Sequence
@@ -47,3 +50,13 @@ def row_index(basis: np.ndarray, state) -> int:
         if len(hits):
             return int(hits[0])
     raise ValueError(f"{tuple(state.tolist())} is not a state of this basis")
+
+
+def mode_sequence(occupation) -> tuple[int, ...]:
+    """The 0-based mode of each particle, nondecreasing: (2, 0, 1) -> (0, 0, 2)."""
+    return tuple(k for k, r in enumerate(occupation) for _ in range(r))
+
+
+def gamma(occupation) -> int:
+    """Gamma = prod r_k!, the exact integer normalization of an occupation vector."""
+    return math.prod(map(math.factorial, occupation))

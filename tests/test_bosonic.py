@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from basis_reference import row_index
+from basis_reference import gamma, mode_sequence, row_index
 
 from bosonsim import bosonic, cli, permanents
 from bosonsim.bosonic import (
@@ -13,7 +13,7 @@ from bosonsim.bosonic import (
     symmetric_power_matrix,
     transition_amplitude,
 )
-from bosonsim.fock import enumerate_basis, normalization_gamma, occupation_to_sequence
+from bosonsim.fock import enumerate_basis
 from bosonsim.permanents import permanent_glynn, permanent_naive
 from bosonsim.transforms import matrix_to_jsonable, random_haar_unitary
 
@@ -151,7 +151,7 @@ def test_distribution_blocks_match_per_outcome_permanents(monkeypatch, block):
     cols = u[:, np.repeat(modes, inp)]
     reference = [
         permanent_glynn(cols[np.repeat(modes, out)])
-        / math.sqrt(normalization_gamma(inp) * normalization_gamma(out))
+        / math.sqrt(gamma(inp) * gamma(out))
         for out in dist.states
     ]
     assert np.array_equal(dist.amplitudes, reference)
@@ -176,10 +176,7 @@ def test_normalization_is_exact_past_2_53(d):
         states = enumerate_basis(d, n)
         inp = states[len(states) // 3]  # bunched
         amplitudes = bosonic._amplitude_matrix(np.eye(d), states, inp[None], ones)[:, 0]
-        expected = [
-            1 / math.sqrt(float(normalization_gamma(inp) * normalization_gamma(s)))
-            for s in states
-        ]
+        expected = [1 / math.sqrt(float(gamma(inp) * gamma(s))) for s in states]
         assert np.array_equal(amplitudes.real, expected)
 
 
@@ -278,9 +275,8 @@ def tensor_power_oracle(u, n):
         big = np.kron(big, u)
     iso = np.zeros((d**n, len(basis)), dtype=complex)
     for col, occ in enumerate(basis):
-        seq = [j - 1 for j in occupation_to_sequence(occ)]
-        coef = math.sqrt(normalization_gamma(occ) / math.factorial(n))
-        for perm in set(itertools.permutations(seq)):
+        coef = math.sqrt(gamma(occ) / math.factorial(n))
+        for perm in set(itertools.permutations(mode_sequence(occ))):
             idx = 0
             for j in perm:
                 idx = idx * d + j

@@ -11,7 +11,6 @@ from bosonsim.transforms import (
     matrix_to_jsonable,
     random_haar_unitary,
     realify,
-    symplectic_form,
     unitarity_deviation,
     validate_unitary,
 )
@@ -118,12 +117,6 @@ def test_realify_is_multiplicative():
     u = random_haar_unitary(4, seed=1)
     v = random_haar_unitary(4, seed=2)
     assert np.abs(realify(u @ v) - realify(u) @ realify(v)).max() < 1e-10
-
-
-def test_symplectic_form_squares_to_minus_identity():
-    for d in (1, 2, 5):
-        j = symplectic_form(d)
-        assert np.array_equal(j @ j, -np.eye(2 * d))
 
 
 def test_check_symplectic_identity():
